@@ -41,8 +41,6 @@ from .errors import (
 from .holonomy import (
     Holonomy,
     composite_sampler,
-    connection_composite,
-    connection_reduced,
     converged_phase,
     depolarized_spectrum,
     integrate_holonomy,
@@ -51,13 +49,11 @@ from .holonomy import (
 )
 from .spin_model import (
     ModelParams,
-    SpectralData,
     eigenbasis,
     eigenstate,
     eigenvalues,
     eigenvector_components,
     hamiltonian,
-    spectral_data,
 )
 from .states import (
     QubitState,

@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from . import closed_form, entanglement, holonomy, states, sweeps
+from . import entanglement, holonomy, sweeps
 from .errors import (
     DegeneratePhaseError,
     DomainBoundaryError,
@@ -18,7 +18,7 @@ from .errors import (
     OutOfTransitionRangeError,
     SpinPhaseError,
 )
-from .spin_model import ModelParams, eigenvalues, eigenvector_components
+from .spin_model import MAX_STEPS, ModelParams, eigenvalues, eigenvector_components
 from .topology import winding_number
 
 EXIT_OK = 0
@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase", help="single-point geometric phase (in units of pi)")
     _add_point_args(p)
-    p.add_argument("--quantity", default="uhlmann_closed",
-                   choices=("uhlmann_closed", "uhlmann_numeric", "berry", "interferometric"))
+    p.add_argument("--quantity", default="uhlmann_closed", choices=sweeps.PHASES)
     p.add_argument("--steps", type=int, default=holonomy.DEFAULT_STEPS,
-                   help="initial integration step count for the numeric phase")
+                   help=f"initial integration step count for the numeric phase, "
+                        f"16 to {MAX_STEPS // 2}")
 
     p = sub.add_parser("concurrence", help="concurrence of the (depolarized) composite state")
     _add_point_args(p, subsystem=False)
@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=float, default=2.5)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60), help="T x G point counts")
     p.add_argument("--steps", type=int, default=holonomy.DEFAULT_STEPS)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("winding", help="winding number of the phase curve")
@@ -123,28 +122,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_phase(args) -> int:
     params = ModelParams(args.theta, args.g, args.q, args.j)
-    if args.quantity == "berry":
-        phase = closed_form.berry_composite(args.j, args.theta, args.g)
-    elif args.quantity == "uhlmann_closed":
-        if args.subsystem == "composite":
-            print("error: no closed form for the composite phase", file=sys.stderr)
-            return EXIT_USAGE
-        phase = closed_form.uhlmann_subsystem(params, args.subsystem)
-    elif args.quantity == "interferometric":
-        if args.subsystem == "composite":
-            print("error: interferometric phase is defined per subsystem", file=sys.stderr)
-            return EXIT_USAGE
-        phase = closed_form.interferometric_subsystem(params, args.subsystem)
-    else:
-        value = sweeps._numeric_phase(params, args.subsystem, args.steps)
-        phase = closed_form.PhaseValue(value)
-    print(f"{phase.in_units_of_pi():.12g}")
+    value = sweeps.evaluate(args.quantity, params, args.subsystem, args.steps)
+    print(f"{value / math.pi:.12g}")
     return EXIT_OK
 
 
 def _cmd_concurrence(args) -> int:
-    rho = states.depolarize(states.pure_density(args.j, args.theta, args.g, 0.0), args.q)
-    print(f"{entanglement.concurrence_wootters(rho).value:.12g}")
+    params = ModelParams(args.theta, args.g, args.q, args.j)
+    print(f"{sweeps.evaluate('concurrence', params, 'composite'):.12g}")
     return EXIT_OK
 
 
@@ -156,17 +141,20 @@ def _cmd_critical(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    spec = sweeps.SweepSpec(
+def _spec(args, quantity: str) -> sweeps.SweepSpec:
+    return sweeps.SweepSpec(
         theta_range=(args.theta_min, args.theta_max, args.grid[0]),
         g_range=(args.g_min, args.g_max, args.grid[1]),
         q_list=tuple(args.q_list),
         j=args.j,
         subsystem=args.subsystem,
-        quantity=args.quantity,
+        quantity=quantity,
         steps=args.steps,
     )
-    rows = sweeps.run_sweep(spec, workers=args.workers)
+
+
+def _cmd_sweep(args) -> int:
+    rows = sweeps.run_sweep(_spec(args, args.quantity))
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             sweeps.write_csv(rows, fh)
@@ -184,16 +172,7 @@ def _cmd_winding(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = sweeps.SweepSpec(
-        theta_range=(args.theta_min, args.theta_max, args.grid[0]),
-        g_range=(args.g_min, args.g_max, args.grid[1]),
-        q_list=tuple(args.q_list),
-        j=args.j,
-        subsystem=args.subsystem,
-        quantity="uhlmann_numeric",
-        steps=args.steps,
-    )
-    report = sweeps.cross_validate(spec)
+    report = sweeps.cross_validate(_spec(args, "uhlmann_numeric"))
     print(f"points,{report.count}")
     print(f"flagged,{report.flagged}")
     print(f"max_error,{report.max_error:.3e}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .entanglement import concurrence_pure_from_subsystem
 from .errors import DegeneratePhaseError
-from .spin_model import ModelParams, eigenvector_components
+from .spin_model import ModelParams, check_param, eigenvector_components
 from .states import QubitState, reduce_state
 
 _TWO_PI = 2.0 * math.pi
@@ -86,28 +86,35 @@ def _phase_from_parts(re: float, im: float) -> PhaseValue:
     return PhaseValue(value)
 
 
-def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
-    """Exact subsystem Uhlmann phase, depolarized or pure (q = 0).
+def _two_z(params: ModelParams, subsystem: str) -> tuple[float, float] | None:
+    """Real and imaginary parts of 2 z, or None when the reduced state is trivial.
 
-    Arg{-cos(pi r) - i (1-q) (gbar - pi) sin(pi r)/(pi r)} with r built from
+    2 z = cos(pi r) + i (1-q) (gbar - pi) sin(pi r)/(pi r), with r built from
     the level Berry phases and the pure-state concurrence.
     """
     qs = reduce_state(params.j, params.theta, params.g, subsystem)
     if qs.trivial:
-        return PhaseValue(0.0, trivial=True)
+        return None
     g1, g2 = berry_qubit_levels(qs)
     gbar = mean_berry(qs)
     c_pure = concurrence_pure_from_subsystem(qs).value
     r = _r_factor(g1, g2, params.q, c_pure)
-    re = -math.cos(math.pi * r)
     # np.sinc(r) = sin(pi r)/(pi r), series-safe at r -> 0.
-    im = -(1.0 - params.q) * (gbar - math.pi) * float(np.sinc(r))
-    return _phase_from_parts(re, im)
+    return math.cos(math.pi * r), (1.0 - params.q) * (gbar - math.pi) * float(np.sinc(r))
+
+
+def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
+    """Exact subsystem Uhlmann phase Arg{-2 z}, depolarized or pure (q = 0)."""
+    two_z = _two_z(params, subsystem)
+    if two_z is None:
+        return PhaseValue(0.0, trivial=True)
+    return _phase_from_parts(-two_z[0], -two_z[1])
 
 
 def uhlmann_equator(concurrence: float, q: float = 0.0) -> PhaseValue:
     """Equator (theta = pi/2) Uhlmann phase: Arg{-cos(pi r)} with r^2 = 1 - (1-q)^2 (1 - C^2)."""
     c = float(getattr(concurrence, "value", concurrence))
+    q = check_param("q", q)
     r = math.sqrt(max(1.0 - (1.0 - q) ** 2 * (1.0 - c * c), 0.0))
     x = -math.cos(math.pi * r)
     if abs(x) < 1e-12:
@@ -133,18 +140,11 @@ def z_point(params: ModelParams, subsystem: str) -> complex:
     through consistently with the depolarized closed form (an extension; the
     source analysis draws the curve for q = 0 only).
     """
-    qs = reduce_state(params.j, params.theta, params.g, subsystem)
-    if qs.trivial:
+    two_z = _two_z(params, subsystem)
+    if two_z is None:
         # Trivial holonomy: phase 0, i.e. Arg{-2z} = 0.
         return -0.5 + 0.0j
-    g1, g2 = berry_qubit_levels(qs)
-    gbar = mean_berry(qs)
-    c_pure = concurrence_pure_from_subsystem(qs).value
-    r = _r_factor(g1, g2, params.q, c_pure)
-    return 0.5 * (
-        math.cos(math.pi * r)
-        + 1j * (1.0 - params.q) * (gbar - math.pi) * float(np.sinc(r))
-    )
+    return 0.5 * (two_z[0] + 1j * two_z[1])
 
 
 def interferometric_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:

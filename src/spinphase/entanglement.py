@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfTransitionRangeError
+from .spin_model import check_param
 from .states import QubitState, validate_density
 
 G_CRITICAL_PURE = 2.0 / math.sqrt(3.0)
@@ -58,23 +59,20 @@ def concurrence_pure_from_subsystem(qs: QubitState) -> ConcurrenceValue:
 
 def concurrence_equator(g: float) -> ConcurrenceValue:
     """Concurrence shared by all four eigenstates at theta = pi/2: g / sqrt(g^2 + 4)."""
-    if g < 0.0 or not math.isfinite(g):
-        raise ValueError(f"g must be finite and >= 0, got {g!r}")
+    g = check_param("g", g)
     return ConcurrenceValue(g / math.sqrt(g * g + 4.0), "equator")
 
 
 def concurrence_depolarized(c_pure: ConcurrenceValue | float, q: float) -> ConcurrenceValue:
     """Concurrence after depolarization: max{0, (1-q) C - q/2}."""
     c = c_pure.value if isinstance(c_pure, ConcurrenceValue) else float(c_pure)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
+    q = check_param("q", q)
     return ConcurrenceValue(max(0.0, (1.0 - q) * c - q / 2.0), "depolarized-relation")
 
 
 def critical_coupling(q: float) -> float:
     """Coupling where the equator phase transition sits: g_c sqrt(4q^2 - 8q + 1)."""
-    if not 0.0 <= q <= 1.0 or not math.isfinite(q):
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
+    q = check_param("q", q)
     if q > Q_TRANSITION_MAX:
         raise OutOfTransitionRangeError(
             f"no transition for q = {q:g} > {Q_TRANSITION_MAX:.6f}"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_form import PhaseValue, wrap_angle
 from .errors import ConvergenceFailureError, DegeneratePhaseError
-from .spin_model import ModelParams, eigenbasis, spectral_data
+from .spin_model import MAX_STEPS, ModelParams, check_param, eigenbasis, eigenvector_components
 from .states import QubitState
 
 SIGMA = (
@@ -27,7 +27,6 @@ SIGMA = (
 )
 
 DEFAULT_STEPS = 2000
-MAX_STEPS = 2**16
 PHASE_TOL = 1e-8
 
 Sampler = Callable[[np.ndarray], np.ndarray]
@@ -51,9 +50,9 @@ def depolarized_spectrum(j: int, q: float) -> np.ndarray:
 
 def _composite_generator(params: ModelParams) -> np.ndarray:
     """Connection of the depolarized composite state at phi = 0."""
-    data = spectral_data(params.theta, params.g)
-    u = np.array(data.components)
-    norms = np.array(data.norms)
+    spectrum = [eigenvector_components(j, params.theta, params.g) for j in (1, 2, 3, 4)]
+    u = np.array([c[:4] for c in spectrum])
+    norms = np.array([c[4] for c in spectrum])
     # <u_i | d_phi u_j> = i M_ij with M real symmetric.
     m = (np.outer(u[:, 3], u[:, 3]) - np.outer(u[:, 0], u[:, 0])) / np.sqrt(
         np.outer(norms, norms)
@@ -73,18 +72,13 @@ def _composite_generator(params: ModelParams) -> np.ndarray:
 _CHI = np.array([-1.0, 0.0, 0.0, 1.0])
 
 
-def connection_composite(params: ModelParams, phi: float) -> np.ndarray:
-    """Uhlmann connection of the depolarized composite state at loop angle phi.
+def composite_sampler(params: ModelParams) -> Sampler:
+    """Uhlmann connection A(phi) of the depolarized composite state, for arrays of phi.
 
     Built from the closed-form eigenbasis: the generator is
     W (i M) W^dagger with M the real symmetric overlap-derivative matrix and
     weights (sqrt(p_k) - sqrt(p_i))^2 / (p_k + p_i).
     """
-    return composite_sampler(params)(np.asarray([phi]))[0]
-
-
-def composite_sampler(params: ModelParams) -> Sampler:
-    """Vectorized composite-connection sampler A(phi) for arrays of phi."""
     a0 = _composite_generator(params)
     winding = np.subtract.outer(_CHI, _CHI)
 
@@ -94,13 +88,8 @@ def composite_sampler(params: ModelParams) -> Sampler:
     return sample
 
 
-def connection_reduced(qs: QubitState, phi: float) -> np.ndarray:
-    """Uhlmann connection -2i dp (n_delta . sigma) of a reduced qubit state."""
-    return reduced_sampler(qs)(np.asarray([phi]))[0]
-
-
 def reduced_sampler(qs: QubitState) -> Sampler:
-    """Vectorized reduced-connection sampler A(phi) for arrays of phi."""
+    """Reduced-state Uhlmann connection -2i dp (n_delta . sigma), for arrays of phi."""
     if qs.trivial:
         return lambda phis: np.zeros((len(phis), 2, 2), dtype=complex)
     dp = (math.sqrt(qs.p2) - math.sqrt(qs.p1)) ** 2 / (qs.n1 * qs.n2)
@@ -113,15 +102,6 @@ def reduced_sampler(qs: QubitState) -> Sampler:
             + SIGMA[2][None]
         )
         return -2j * dp * n_dot_sigma
-
-    return sample
-
-
-def sampler_from_connection(connection: Callable[[float], np.ndarray]) -> Sampler:
-    """Wrap a scalar connection callback into an array sampler."""
-
-    def sample(phis: np.ndarray) -> np.ndarray:
-        return np.array([connection(float(p)) for p in phis])
 
     return sample
 
@@ -144,10 +124,7 @@ def _integrate_samples(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate_holonomy(
-    connection: Callable[[float], np.ndarray] | Sampler,
-    phi0: float = 0.0,
-    steps: int = DEFAULT_STEPS,
-    sampler: Sampler | None = None,
+    sampler: Sampler, phi0: float = 0.0, steps: int = DEFAULT_STEPS
 ) -> Holonomy:
     """Integrate dV/dphi = A(phi) V over one loop with fixed-step RK4.
 
@@ -156,8 +133,6 @@ def integrate_holonomy(
     """
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
-    if sampler is None:
-        sampler = sampler_from_connection(connection)
     h = 2.0 * math.pi / steps
     phis = phi0 + 0.5 * h * np.arange(2 * steps + 1)
     samples = sampler(phis)
@@ -182,22 +157,23 @@ def uhlmann_phase(rho0: np.ndarray, holonomy: Holonomy) -> PhaseValue:
 
 
 def converged_phase(
-    connection: Callable[[float], np.ndarray] | None,
+    sampler: Sampler,
     rho0: np.ndarray,
     phi0: float = 0.0,
     start_steps: int = 512,
     tol: float = PHASE_TOL,
-    sampler: Sampler | None = None,
 ) -> tuple[PhaseValue, Holonomy]:
-    """Integrate with step doubling until the phase is stable within tol."""
-    if sampler is None:
-        sampler = sampler_from_connection(connection)
-    steps = max(start_steps, 16)
-    hol = integrate_holonomy(None, phi0, steps, sampler=sampler)
+    """Integrate with step doubling until the phase is stable within tol.
+
+    start_steps must lie in [16, MAX_STEPS // 2], so that at least one
+    doubling can confirm the first integration.
+    """
+    steps = check_param("steps", start_steps)
+    hol = integrate_holonomy(sampler, phi0, steps)
     phase = uhlmann_phase(rho0, hol)
     while steps <= MAX_STEPS // 2:
         steps *= 2
-        hol_next = integrate_holonomy(None, phi0, steps, sampler=sampler)
+        hol_next = integrate_holonomy(sampler, phi0, steps)
         phase_next = uhlmann_phase(rho0, hol_next)
         if abs(wrap_angle(phase_next.value - phase.value)) < tol:
             return phase_next, hol_next

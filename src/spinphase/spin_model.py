@@ -9,6 +9,7 @@ fixed by the closed-form energies, never by sorting.  j = 2 is the ground state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,41 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # {+-, ++, --, -+} used throughout.
 _BASIS_PERM = np.array([1, 0, 3, 2])
 
+# Step doubling of the numeric holonomy stops at MAX_STEPS, so a start count
+# above MAX_STEPS // 2 could never be confirmed by a second integration.
+MAX_STEPS = 2**16
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+# Admissible values of each checked parameter and how an error words them.
+# Real bounds are finite, so one chained comparison also rejects inf and nan.
+_FINITE = sys.float_info.max
+_DOMAINS = {
+    "theta": ((0.0, math.pi), "lie in [0, pi]"),
+    "g": ((0.0, _FINITE), "be >= 0"),
+    "q": ((0.0, 1.0), "lie in [0, 1]"),
+    "phi": ((-_FINITE, _FINITE), "be finite"),
+    "phi0": ((-_FINITE, _FINITE), "be finite"),
+    "j": (range(1, 5), "be one of 1..4"),
+    "steps": (range(16, MAX_STEPS // 2 + 1), f"lie in [16, {MAX_STEPS // 2}]"),
+}
+
+
+def check_param(name: str, value):
+    """Return a model parameter after checking it against its domain.
+
+    theta, g, q, phi and phi0 come back as floats; j and steps unchanged.
+    Raises ValueError naming the parameter.
+    """
+    domain, wording = _DOMAINS[name]
+    if domain.__class__ is range:
+        if value in domain:
+            return value
+    else:
+        value = float(value)
+        if domain[0] <= value <= domain[1]:
+            return value
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must {wording}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,37 +78,11 @@ class ModelParams:
     phi0: float = 0.0
 
     def __post_init__(self):
-        theta = _check_finite("theta", self.theta)
-        g = _check_finite("g", self.g)
-        q = _check_finite("q", self.q)
-        _check_finite("phi0", self.phi0)
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        if g < 0.0:
-            raise ValueError(f"g must be >= 0, got {g}")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {q}")
-        if self.j not in (1, 2, 3, 4):
-            raise ValueError(f"j must be one of 1..4, got {self.j}")
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Energies, eigenvector components and normalizations for all four states."""
-
-    energies: tuple[float, float, float, float]
-    components: tuple[tuple[float, float, float, float], ...]
-    norms: tuple[float, float, float, float]
-
-
-def _validate_angles(theta: float, g: float) -> tuple[float, float]:
-    theta = _check_finite("theta", theta)
-    g = _check_finite("g", g)
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if g < 0.0:
-        raise ValueError(f"g must be >= 0, got {g}")
-    return theta, g
+        check_param("theta", self.theta)
+        check_param("g", self.g)
+        check_param("q", self.q)
+        check_param("phi0", self.phi0)
+        check_param("j", self.j)
 
 
 def hamiltonian(theta: float, phi: float, g: float) -> np.ndarray:
@@ -86,8 +90,8 @@ def hamiltonian(theta: float, phi: float, g: float) -> np.ndarray:
 
     Serves as the validation oracle for the closed-form eigen-pairs.
     """
-    theta, g = _validate_angles(theta, g)
-    phi = _check_finite("phi", phi)
+    theta, g = check_param("theta", theta), check_param("g", g)
+    phi = check_param("phi", phi)
     n = (math.sin(theta) * math.cos(phi),
          math.sin(theta) * math.sin(phi),
          math.cos(theta))
@@ -100,7 +104,7 @@ def hamiltonian(theta: float, phi: float, g: float) -> np.ndarray:
 
 def eigenvalues(theta: float, g: float) -> tuple[float, float, float, float]:
     """Closed-form energies (E1, E2, E3, E4) with E2 = -E1 and E4 = -E3."""
-    theta, g = _validate_angles(theta, g)
+    theta, g = check_param("theta", theta), check_param("g", g)
     root = g * math.sqrt(g * g + 4.0 * math.sin(theta) ** 2) / 2.0
     e1 = math.sqrt(1.0 + g * g / 2.0 + root)
     e3 = math.sqrt(max(1.0 + g * g / 2.0 - root, 0.0))
@@ -116,9 +120,8 @@ def eigenvector_components(
     sin(theta) boundary with finite coupling no closed form exists and a
     DomainBoundaryError is raised.
     """
-    theta, g = _validate_angles(theta, g)
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"j must be one of 1..4, got {j}")
+    theta, g = check_param("theta", theta), check_param("g", g)
+    check_param("j", j)
     e = eigenvalues(theta, g)[j - 1]
     st, ct = math.sin(theta), math.cos(theta)
     if g <= G_LIMIT:
@@ -147,21 +150,9 @@ def eigenvector_components(
     return (u1, u2, u3, u4, norm)
 
 
-def spectral_data(theta: float, g: float) -> SpectralData:
-    """Energies, components and norms for all four eigenstates at once."""
-    energies = eigenvalues(theta, g)
-    comps = []
-    norms = []
-    for j in (1, 2, 3, 4):
-        u1, u2, u3, u4, n = eigenvector_components(j, theta, g)
-        comps.append((u1, u2, u3, u4))
-        norms.append(n)
-    return SpectralData(energies, tuple(comps), tuple(norms))
-
-
 def eigenstate(j: int, theta: float, g: float, phi: float) -> np.ndarray:
     """Normalized eigenstate N^{-1/2} [u1 e^{-i phi}, u2, u3, u4 e^{i phi}]."""
-    phi = _check_finite("phi", phi)
+    phi = check_param("phi", phi)
     u1, u2, u3, u4, norm = eigenvector_components(j, theta, g)
     vec = np.array(
         [u1 * np.exp(-1j * phi), u2, u3, u4 * np.exp(1j * phi)], dtype=complex

@@ -7,18 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import eigenstate, eigenvector_components
+from .spin_model import check_param, eigenstate, eigenvector_components
 
 # Coherences below this magnitude are treated as zero and routed to the
 # trivial-holonomy path.
 C_TRIVIAL = 1e-14
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    return q
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -43,7 +36,7 @@ def pure_density(j: int, theta: float, g: float, phi: float) -> np.ndarray:
 
 def depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     """Mix rho with the maximally mixed state: (q/4) I + (1-q) rho."""
-    q = _check_q(q)
+    q = check_param("q", q)
     rho = np.asarray(rho, dtype=complex)
     return (q / 4.0) * np.eye(4) + (1.0 - q) * rho
 
@@ -122,7 +115,7 @@ def reduce_state(j: int, theta: float, g: float, subsystem: str) -> QubitState:
 
 def depolarize_reduced(qs: QubitState, q: float) -> QubitState:
     """Depolarized coefficients a -> q/2 + (1-q) a, c -> (1-q) c."""
-    q = _check_q(q)
+    q = check_param("q", q)
     total = 1.0 - (1.0 - qs.q) * (1.0 - q)
     return QubitState.from_coefficients(
         q / 2.0 + (1.0 - q) * qs.a, (1.0 - q) * qs.c, qs.subsystem, q=total

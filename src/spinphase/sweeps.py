@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -17,19 +16,44 @@ from .errors import (
     DomainBoundaryError,
     IllPosedError,
 )
-from .spin_model import ModelParams
+from .spin_model import ModelParams, check_param
 from .topology import winding_number
 
-QUANTITIES = (
-    "uhlmann_numeric",
-    "uhlmann_closed",
-    "berry",
-    "interferometric",
-    "concurrence",
-    "winding",
-)
+# Quantity -> the subsystems it is defined for.  Berry and concurrence belong
+# to the composite state: a sweep of them only carries the subsystem label.
+SUBSYSTEMS = {
+    "uhlmann_numeric": ("A", "B", "composite"),
+    "uhlmann_closed": ("A", "B"),
+    "berry": ("A", "B", "composite"),
+    "interferometric": ("A", "B"),
+    "concurrence": ("A", "B", "composite"),
+    "winding": ("A", "B"),
+}
+QUANTITIES = tuple(SUBSYSTEMS)
+# Quantities whose value is a phase, reported in units of pi.
+PHASES = ("uhlmann_closed", "uhlmann_numeric", "berry", "interferometric")
+
+# Per-point failures that become a sweep flag.  A winding curve is flagged only
+# when ill posed; its other domain errors still abort the sweep.
+_POINT_FLAGS = {
+    DegeneratePhaseError: "vortex",
+    DomainBoundaryError: "boundary",
+    ConvergenceFailureError: "no-convergence",
+}
+_WINDING_FLAGS = {IllPosedError: "ill-posed"}
 
 CSV_HEADER = "theta,g,q,j,subsystem,quantity,value_pi,flag"
+
+
+def _check_quantity(quantity: str, subsystem: str) -> None:
+    """Raise ValueError unless quantity is known and defined for subsystem."""
+    if quantity not in SUBSYSTEMS:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if subsystem not in SUBSYSTEMS[quantity]:
+        raise ValueError(
+            f"{quantity} is defined for subsystems {', '.join(SUBSYSTEMS[quantity])}, "
+            f"not {subsystem!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,22 +69,16 @@ class SweepSpec:
     steps: int = holonomy.DEFAULT_STEPS
 
     def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.subsystem not in ("A", "B", "composite"):
-            raise ValueError(f"subsystem must be A, B or composite, got {self.subsystem!r}")
-        for lo, hi, count in (self.theta_range, self.g_range):
+        _check_quantity(self.quantity, self.subsystem)
+        for name, (lo, hi, count) in (("theta", self.theta_range), ("g", self.g_range)):
             if count < 2:
                 raise ValueError("range counts must be >= 2")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not check_param(name, lo) <= check_param(name, hi):
                 raise ValueError(f"invalid range ({lo}, {hi})")
-        if not 0.0 <= self.theta_range[0] <= self.theta_range[1] <= math.pi:
-            raise ValueError("theta range must lie within [0, pi]")
         for q in self.q_list:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"q must lie in [0, 1], got {q}")
-        if self.quantity == "uhlmann_closed" and self.subsystem == "composite":
-            raise ValueError("no closed form for the composite Uhlmann phase")
+            check_param("q", q)
+        check_param("j", self.j)
+        check_param("steps", self.steps)
 
     def theta_axis(self) -> np.ndarray:
         lo, hi, count = self.theta_range
@@ -95,74 +113,62 @@ def _numeric_phase(params: ModelParams, subsystem: str, steps: int) -> float:
         )
         rho0 = qs.matrix(params.phi0)
         sampler = holonomy.reduced_sampler(qs)
-    phase, _ = holonomy.converged_phase(
-        None, rho0, params.phi0, start_steps=steps, sampler=sampler
-    )
+    phase, _ = holonomy.converged_phase(sampler, rho0, params.phi0, start_steps=steps)
     return phase.value
 
 
-def _point_value(spec: SweepSpec, theta: float, g: float, q: float) -> SweepRow:
-    params = ModelParams(theta, g, q, spec.j)
-    quantity = spec.quantity
-    try:
-        if quantity == "uhlmann_numeric":
-            value = _numeric_phase(params, spec.subsystem, spec.steps) / math.pi
-        elif quantity == "uhlmann_closed":
-            phase = closed_form.uhlmann_subsystem(params, spec.subsystem)
-            value = phase.in_units_of_pi()
-        elif quantity == "berry":
-            value = closed_form.berry_composite(spec.j, theta, g).in_units_of_pi()
-        elif quantity == "interferometric":
-            if spec.subsystem == "composite":
-                raise ValueError("interferometric phase is defined per subsystem")
-            value = closed_form.interferometric_subsystem(params, spec.subsystem).in_units_of_pi()
-        elif quantity == "concurrence":
-            rho = states.depolarize(states.pure_density(spec.j, theta, g, 0.0), q)
-            value = concurrence_wootters(rho).value
-        else:  # pragma: no cover - dispatch is exhaustive
-            raise AssertionError(quantity)
-    except DegeneratePhaseError:
-        return SweepRow(theta, g, q, spec.j, spec.subsystem, quantity, None, "vortex")
-    except DomainBoundaryError:
-        return SweepRow(theta, g, q, spec.j, spec.subsystem, quantity, None, "boundary")
-    except ConvergenceFailureError:
-        return SweepRow(theta, g, q, spec.j, spec.subsystem, quantity, None, "no-convergence")
-    return SweepRow(theta, g, q, spec.j, spec.subsystem, quantity, value)
+# Value of one point: a phase in radians, a concurrence or a winding number.
+_VALUES = {
+    "uhlmann_numeric": _numeric_phase,
+    "uhlmann_closed": lambda p, sub, steps: closed_form.uhlmann_subsystem(p, sub).value,
+    "berry": lambda p, sub, steps: closed_form.berry_composite(p.j, p.theta, p.g).value,
+    "interferometric": lambda p, sub, steps: closed_form.interferometric_subsystem(p, sub).value,
+    "concurrence": lambda p, sub, steps: concurrence_wootters(
+        states.depolarize(states.pure_density(p.j, p.theta, p.g, 0.0), p.q)
+    ).value,
+    # A winding belongs to the whole theta loop; params.theta is not used.
+    "winding": lambda p, sub, steps: float(winding_number(p.g, p.q, sub, j=p.j).winding),
+}
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
+def evaluate(
+    quantity: str, params: ModelParams, subsystem: str = "A",
+    steps: int = holonomy.DEFAULT_STEPS,
+) -> float:
+    """One point of a quantity: a phase in radians, a concurrence or a winding.
+
+    Raises ValueError for a quantity not defined for the subsystem, and the
+    library's domain errors where the point has no value.
+    """
+    _check_quantity(quantity, subsystem)
+    return _VALUES[quantity](params, subsystem, steps)
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep grid; per-point failures become flags, never aborts.
 
     Rows are ordered q-major, then theta, then g, deterministically for a
-    fixed spec regardless of the worker count.
+    fixed spec.  Winding rows carry no theta.
     """
-    if spec.quantity == "winding":
-        rows = []
-        for q in spec.q_list:
+    winding = spec.quantity == "winding"
+    flags = _WINDING_FLAGS if winding else _POINT_FLAGS
+    unit = math.pi if spec.quantity in PHASES else 1.0
+    # SweepSpec has checked the quantity and subsystem that evaluate checks.
+    value_of = _VALUES[spec.quantity]
+    thetas = [None] if winding else [float(theta) for theta in spec.theta_axis()]
+    rows = []
+    for q in spec.q_list:
+        for theta in thetas:
             for g in spec.g_axis():
+                params = ModelParams(0.0 if theta is None else theta, float(g), q, spec.j)
                 try:
-                    result = winding_number(float(g), q, spec.subsystem, j=spec.j)
-                    rows.append(
-                        SweepRow(None, float(g), q, spec.j, spec.subsystem, "winding",
-                                 float(result.winding))
-                    )
-                except IllPosedError:
-                    rows.append(
-                        SweepRow(None, float(g), q, spec.j, spec.subsystem, "winding",
-                                 None, "ill-posed")
-                    )
-        return rows
-
-    points = [
-        (float(theta), float(g), q)
-        for q in spec.q_list
-        for theta in spec.theta_axis()
-        for g in spec.g_axis()
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: _point_value(spec, *p), points))
-    return [_point_value(spec, *p) for p in points]
+                    value = value_of(params, spec.subsystem, spec.steps) / unit
+                    flag = ""
+                except tuple(flags) as exc:
+                    value, flag = None, flags[type(exc)]
+                rows.append(SweepRow(theta, float(g), q, spec.j, spec.subsystem,
+                                     spec.quantity, value, flag))
+    return rows
 
 
 def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:
@@ -197,17 +203,15 @@ class ValidationReport:
 
 def cross_validate(spec: SweepSpec) -> ValidationReport:
     """Compare the ODE holonomy phase against the closed form on the grid."""
-    if spec.subsystem == "composite":
-        raise ValueError("cross validation applies to subsystem phases")
     report = ValidationReport()
     for q in spec.q_list:
         for theta in spec.theta_axis():
             for g in spec.g_axis():
                 params = ModelParams(float(theta), float(g), q, spec.j)
                 try:
-                    analytic = closed_form.uhlmann_subsystem(params, spec.subsystem).value
-                    numeric = _numeric_phase(params, spec.subsystem, spec.steps)
-                except (DegeneratePhaseError, DomainBoundaryError, ConvergenceFailureError):
+                    analytic = evaluate("uhlmann_closed", params, spec.subsystem)
+                    numeric = evaluate("uhlmann_numeric", params, spec.subsystem, spec.steps)
+                except tuple(_POINT_FLAGS):
                     report.flagged += 1
                     continue
                 err = abs(closed_form.wrap_angle(numeric - analytic))

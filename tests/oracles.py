@@ -25,7 +25,8 @@ def berry_quadrature(state_fn, points=10_000, step=1e-6):
         um = state_fn(phi - step)
         du = (up - um) / (2.0 * step)
         vals[k] = np.real(1j * np.vdot(state_fn(phi), du))
-    trapezoid = getattr(np, "trapezoid", np.trapz)
+    # numpy >= 2.0 names it trapezoid; numpy 2.4 no longer has trapz.
+    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     return float(trapezoid(vals, phis))
 
 

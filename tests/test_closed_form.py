@@ -143,6 +143,11 @@ class TestUhlmannEquator:
         assert r > 0.5
         assert uhlmann_equator(c, q).value == 0.0
 
+    @pytest.mark.parametrize("q", [float("nan"), -0.1, 1.5])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(ValueError, match="^q must"):
+            uhlmann_equator(0.3, q)
+
     def test_matches_subsystem_formula(self):
         for g in (0.4, 1.0, 2.5):
             c = concurrence_equator(g).value

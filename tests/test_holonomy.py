@@ -11,8 +11,6 @@ from spinphase import (
     Holonomy,
     ModelParams,
     composite_sampler,
-    connection_composite,
-    connection_reduced,
     converged_phase,
     depolarize,
     depolarize_reduced,
@@ -27,6 +25,11 @@ from spinphase import (
 )
 
 PI = math.pi
+
+
+def at(sampler, phi):
+    """The connection a sampler gives at a single loop angle."""
+    return sampler(np.asarray([phi]))[0]
 
 
 def composite_sqrt(theta, g, j, q):
@@ -62,7 +65,7 @@ class TestSpectrum:
 class TestCompositeConnection:
     def test_antihermitian(self):
         for phi in (0.0, 1.1, 4.0):
-            a = connection_composite(ModelParams(0.9, 1.3, 0.25, 2), phi)
+            a = at(composite_sampler(ModelParams(0.9, 1.3, 0.25, 2)), phi)
             assert np.allclose(a, -a.conj().T, atol=1e-12)
 
     def test_commutator_oracle(self):
@@ -74,7 +77,7 @@ class TestCompositeConnection:
             (PI / 2, 2.0, 0.5, 2.9),
         ]:
             params = ModelParams(theta, g, q, 2)
-            a = connection_composite(params, phi)
+            a = at(composite_sampler(params), phi)
             w = eigenbasis(theta, g, phi)
             oracle = connection_commutator(
                 composite_sqrt(theta, g, 2, q), w, depolarized_spectrum(2, q), phi
@@ -82,17 +85,18 @@ class TestCompositeConnection:
             assert np.allclose(a, oracle, atol=1e-7)
 
     def test_sampler_matches_scalar(self):
-        params = ModelParams(1.1, 0.7, 0.15, 3)
+        # A batch of angles gives the connections of each angle on its own.
+        sampler = composite_sampler(ModelParams(1.1, 0.7, 0.15, 3))
         phis = np.array([0.0, 0.5, 2.2, 5.9])
-        batch = composite_sampler(params)(phis)
+        batch = sampler(phis)
         for k, phi in enumerate(phis):
-            assert np.allclose(batch[k], connection_composite(params, float(phi)), atol=1e-14)
+            assert np.allclose(batch[k], at(sampler, float(phi)), atol=1e-14)
 
 
 class TestReducedConnection:
     def test_antihermitian_and_traceless(self):
         qs = depolarize_reduced(reduce_state(2, 0.8, 1.5, "A"), 0.2)
-        a = connection_reduced(qs, 0.7)
+        a = at(reduced_sampler(qs), 0.7)
         assert np.allclose(a, -a.conj().T, atol=1e-14)
         assert abs(np.trace(a)) < 1e-14
 
@@ -103,7 +107,7 @@ class TestReducedConnection:
             (1, PI / 2, 2.5, 0.1, "A", 5.0),
         ]:
             qs = depolarize_reduced(reduce_state(j, theta, g, sub), q)
-            a = connection_reduced(qs, phi)
+            a = at(reduced_sampler(qs), phi)
             w, v = np.linalg.eigh(qs.matrix(phi))
             oracle = connection_commutator(reduced_sqrt(qs), v, w, phi)
             assert np.allclose(a, oracle, atol=1e-7)
@@ -112,7 +116,7 @@ class TestReducedConnection:
         from spinphase import QubitState
 
         qs = QubitState.from_coefficients(0.3, 0.0, "A")
-        assert np.allclose(connection_reduced(qs, 1.0), 0.0)
+        assert np.allclose(at(reduced_sampler(qs), 1.0), 0.0)
 
 
 class TestIntegration:
@@ -120,19 +124,19 @@ class TestIntegration:
         # On the equator delta = 0, so the reduced connection is constant and
         # the loop holonomy is exactly exp(2 pi A).
         qs = reduce_state(2, PI / 2, 1.4, "A")
-        a = connection_reduced(qs, 0.0)
-        hol = integrate_holonomy(None, 0.0, steps=4096, sampler=reduced_sampler(qs))
+        a = at(reduced_sampler(qs), 0.0)
+        hol = integrate_holonomy(reduced_sampler(qs), 0.0, steps=4096)
         assert np.allclose(hol.V, expm(2.0 * PI * a), atol=1e-10)
 
     def test_unitarity_defect_small(self):
         params = ModelParams(0.9, 1.2, 0.3, 2)
-        hol = integrate_holonomy(None, 0.0, steps=2048, sampler=composite_sampler(params))
+        hol = integrate_holonomy(composite_sampler(params), 0.0, steps=2048)
         assert hol.unitarity_defect < 1e-10
 
     def test_step_floor(self):
         qs = reduce_state(2, 1.0, 1.0, "A")
         with pytest.raises(ValueError):
-            integrate_holonomy(None, 0.0, steps=8, sampler=reduced_sampler(qs))
+            integrate_holonomy(reduced_sampler(qs), 0.0, steps=8)
 
     def test_matches_closed_form_reduced(self):
         for j, theta, g, q, sub in [
@@ -141,9 +145,7 @@ class TestIntegration:
             (3, 2.0, 2.3, 0.1, "A"),
         ]:
             qs = depolarize_reduced(reduce_state(j, theta, g, sub), q)
-            phase, _ = converged_phase(
-                None, qs.matrix(0.0), 0.0, sampler=reduced_sampler(qs)
-            )
+            phase, _ = converged_phase(reduced_sampler(qs), qs.matrix(0.0), 0.0)
             expected = uhlmann_subsystem(ModelParams(theta, g, q, j), sub)
             assert phase.value == pytest.approx(expected.value, abs=1e-9)
 
@@ -152,9 +154,7 @@ class TestIntegration:
         qs = depolarize_reduced(reduce_state(2, 1.2, 1.7, "A"), 0.2)
         reference = None
         for phi0 in (0.0, PI / 3, 1.7):
-            phase, _ = converged_phase(
-                None, qs.matrix(phi0), phi0, sampler=reduced_sampler(qs)
-            )
+            phase, _ = converged_phase(reduced_sampler(qs), qs.matrix(phi0), phi0)
             if reference is None:
                 reference = phase.value
             assert phase.value == pytest.approx(reference, abs=1e-9)
@@ -163,13 +163,20 @@ class TestIntegration:
         params = ModelParams(1.0, 1.5, 0.2, 2)
         rho0 = depolarize(pure_density(2, 1.0, 1.5, 0.0), 0.2)
         sampler = composite_sampler(params)
-        a = uhlmann_phase(rho0, integrate_holonomy(None, 0.0, 2000, sampler=sampler))
-        b = uhlmann_phase(rho0, integrate_holonomy(None, 0.0, 4000, sampler=sampler))
+        a = uhlmann_phase(rho0, integrate_holonomy(sampler, 0.0, 2000))
+        b = uhlmann_phase(rho0, integrate_holonomy(sampler, 0.0, 4000))
         assert a.value == pytest.approx(b.value, abs=1e-10)
+
+    @pytest.mark.parametrize("start_steps", [8, 15, 40000])
+    def test_converged_phase_rejects_start_steps(self, start_steps):
+        # Above MAX_STEPS // 2 no doubling could confirm the first integration.
+        qs = reduce_state(2, 0.9, 1.1, "A")
+        with pytest.raises(ValueError, match="^steps must"):
+            converged_phase(reduced_sampler(qs), qs.matrix(0.0), start_steps=start_steps)
 
     def test_converged_phase_reports_steps(self):
         qs = reduce_state(2, 0.9, 1.1, "A")
-        phase, hol = converged_phase(None, qs.matrix(0.0), sampler=reduced_sampler(qs))
+        phase, hol = converged_phase(reduced_sampler(qs), qs.matrix(0.0))
         assert isinstance(hol, Holonomy)
         assert hol.steps >= 1024
         assert phase.magnitude is not None and 0.0 < phase.magnitude <= 1.0 + 1e-12

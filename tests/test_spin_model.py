@@ -11,6 +11,7 @@ from spinphase import (
     eigenvector_components,
     hamiltonian,
 )
+from spinphase.spin_model import MAX_STEPS, check_param
 
 INTERIOR_THETAS = np.linspace(0.15, math.pi - 0.15, 20)
 INTERIOR_GS = np.linspace(0.1, 3.0, 20)
@@ -36,6 +37,32 @@ class TestModelParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+
+class TestCheckParam:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("theta", 4.0, "theta must lie in [0, pi], got 4.0"),
+            ("g", -1, "g must be >= 0, got -1.0"),
+            ("q", 1.5, "q must lie in [0, 1], got 1.5"),
+            ("q", float("nan"), "q must be finite, got nan"),
+            ("phi", float("inf"), "phi must be finite, got inf"),
+            ("j", 5, "j must be one of 1..4, got 5"),
+            ("steps", 15, "steps must lie in [16, 32768], got 15"),
+            ("steps", 40000, "steps must lie in [16, 32768], got 40000"),
+        ],
+    )
+    def test_message_names_the_parameter(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            check_param(name, value)
+        assert str(info.value) == message
+
+    def test_returns_floats_and_counts(self):
+        assert check_param("g", 2) == 2.0 and isinstance(check_param("g", 2), float)
+        assert check_param("j", 4) == 4
+        assert check_param("steps", 16) == 16
+        assert check_param("steps", MAX_STEPS // 2) == MAX_STEPS // 2
 
 
 class TestHamiltonian:

@@ -15,9 +15,9 @@ from spinphase.sweeps import (
 PI = math.pi
 
 
-def csv_text(spec, workers=1):
+def csv_text(spec):
     buf = io.StringIO()
-    write_csv(run_sweep(spec, workers=workers), buf)
+    write_csv(run_sweep(spec), buf)
     return buf.getvalue()
 
 
@@ -41,6 +41,22 @@ class TestSweepSpec:
     def test_rejects_composite_closed_form(self):
         with pytest.raises(ValueError):
             SweepSpec((0.3, 2.8, 4), (0.1, 2.0, 4), subsystem="composite")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(g_range=(-0.5, 2.0, 4)),
+            dict(quantity="interferometric", subsystem="composite"),
+            dict(quantity="winding", subsystem="composite"),
+            dict(quantity="uhlmann_numeric", steps=40000),
+            dict(subsystem="C"),
+        ],
+    )
+    def test_rejects_before_any_point_runs(self, kwargs):
+        # The spec itself refuses, so run_sweep never starts a grid that
+        # would abort partway.
+        with pytest.raises(ValueError):
+            SweepSpec(**(dict(theta_range=(0.3, 2.8, 4), g_range=(0.1, 2.0, 4)) | kwargs))
 
 
 class TestRunSweep:
@@ -70,10 +86,6 @@ class TestRunSweep:
         spec = SweepSpec((0.3, 2.8, 2), (g_c, g_c, 2), quantity="winding")
         rows = run_sweep(spec)
         assert all(r.value is None and r.flag == "ill-posed" for r in rows)
-
-    def test_workers_do_not_change_output(self):
-        spec = SweepSpec((0.3, 2.8, 4), (0.1, 2.0, 4), q_list=(0.0, 0.3))
-        assert csv_text(spec, workers=1) == csv_text(spec, workers=4)
 
 
 class TestWriteCsv:
@@ -196,3 +208,20 @@ class TestCli:
 
     def test_exit_code_invalid_value(self, capsys):
         assert cli.main(["phase", "--theta", "nan", "--g", "1.0"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase", "--theta", "1.1", "--g", "1.4", "--quantity", "uhlmann_numeric",
+             "--steps", "40000"],
+            ["phase", "--theta", "1.1", "--g", "1.4", "--subsystem", "composite"],
+            ["sweep", "--g-min", "-0.5", "--grid", "2x2"],
+            ["sweep", "--quantity", "interferometric", "--subsystem", "composite"],
+            ["sweep", "--quantity", "winding", "--subsystem", "composite"],
+            ["validate", "--steps", "8", "--grid", "2x2"],
+        ],
+    )
+    def test_exit_code_rejected_request(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
