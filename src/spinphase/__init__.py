@@ -16,7 +16,6 @@ from .closed_form import (
     uhlmann_equator,
     uhlmann_subsystem,
     wrap_angle,
-    z_point,
 )
 from .entanglement import (
     G_CRITICAL_PURE,

@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--subsystem", default="A", choices=("A", "B"))
     p.add_argument("--j", type=int, default=2, choices=(1, 2, 3, 4))
-    p.add_argument("--samples", type=int, default=256)
 
     p = sub.add_parser("validate", help="numeric vs closed-form cross check")
     p.add_argument("--subsystem", default="A", choices=("A", "B"))
@@ -164,10 +163,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_winding(args) -> int:
-    result = winding_number(args.g, args.q, args.subsystem, args.samples, args.j)
+    result = winding_number(args.g, args.q, args.subsystem, args.j)
     print(f"winding,{result.winding}")
-    print(f"residual,{result.residual:.3g}")
-    print(f"closure_defect,{result.closure_defect:.3g}")
+    print(f"clearance,{result.clearance:.3g}")
     return EXIT_OK
 
 
@@ -180,6 +178,10 @@ def _cmd_validate(args) -> int:
         print(f"exceeds,{theta:.6g},{g:.6g},{q:.6g},{err:.3e}")
     if report.failed:
         print("status,FAIL")
+        return EXIT_VALIDATION
+    if report.count == 0:
+        # Every point was flagged: a check of nothing is not a pass.
+        print("status,EMPTY")
         return EXIT_VALIDATION
     print("status,OK")
     return EXIT_OK

@@ -111,11 +111,16 @@ def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
     return _phase_from_parts(-two_z[0], -two_z[1])
 
 
+def equator_r(c: float, q: float) -> float:
+    """The r factor at the equator: r^2 = 1 - (1-q)^2 (1 - C^2) for pure-state concurrence C."""
+    return math.sqrt(max(1.0 - (1.0 - q) ** 2 * (1.0 - c * c), 0.0))
+
+
 def uhlmann_equator(concurrence: float, q: float = 0.0) -> PhaseValue:
     """Equator (theta = pi/2) Uhlmann phase: Arg{-cos(pi r)} with r^2 = 1 - (1-q)^2 (1 - C^2)."""
     c = float(getattr(concurrence, "value", concurrence))
     q = check_param("q", q)
-    r = math.sqrt(max(1.0 - (1.0 - q) ** 2 * (1.0 - c * c), 0.0))
+    r = equator_r(c, q)
     x = -math.cos(math.pi * r)
     if abs(x) < 1e-12:
         raise DegeneratePhaseError(f"equator phase node at r = {r:g}")
@@ -131,20 +136,6 @@ def interferometric(probs: tuple[float, float], levels: tuple[float, float]) -> 
     if abs(z) < 1e-12:
         raise DegeneratePhaseError("weighted phase factors cancel")
     return _phase_from_parts(float(z.real), float(z.imag))
-
-
-def z_point(params: ModelParams, subsystem: str) -> complex:
-    """Argument z of the degree-one Chebyshev form of the Uhlmann phase.
-
-    The subsystem phase is Arg{-2 z}.  For q > 0 the (1-q) factor is carried
-    through consistently with the depolarized closed form (an extension; the
-    source analysis draws the curve for q = 0 only).
-    """
-    two_z = _two_z(params, subsystem)
-    if two_z is None:
-        # Trivial holonomy: phase 0, i.e. Arg{-2z} = 0.
-        return -0.5 + 0.0j
-    return 0.5 * (two_z[0] + 1j * two_z[1])
 
 
 def interferometric_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:

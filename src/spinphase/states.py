@@ -76,8 +76,15 @@ class QubitState:
             n1 = n2 = 1.0
             delta = None
         else:
-            beta1 = c / (p1 - a)
-            beta2 = c / (p2 - a)
+            # p1 - a and p2 - a are (x -+ s)/2 with x = 1 - 2a; the one whose
+            # terms share the sign of x cannot cancel, and their product is
+            # -c^2, so the other follows without a cancelling subtraction.
+            if a <= 0.5:
+                beta2 = c / (p2 - a)
+                beta1 = -(p2 - a) / c
+            else:
+                beta1 = c / (p1 - a)
+                beta2 = -(p1 - a) / c
             n1 = beta1 * beta1 + 1.0
             n2 = beta2 * beta2 + 1.0
             delta = (2.0 * a - 1.0) / (2.0 * c)

@@ -33,8 +33,8 @@ QUANTITIES = tuple(SUBSYSTEMS)
 # Quantities whose value is a phase, reported in units of pi.
 PHASES = ("uhlmann_closed", "uhlmann_numeric", "berry", "interferometric")
 
-# Per-point failures that become a sweep flag.  A winding curve is flagged only
-# when ill posed; its other domain errors still abort the sweep.
+# Per-point failures that become a sweep flag.  A winding has one failure of
+# its own: it is ill posed at the transition, where the curve meets the root.
 _POINT_FLAGS = {
     DegeneratePhaseError: "vortex",
     DomainBoundaryError: "boundary",

@@ -7,28 +7,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import wrap_angle, z_point
-from .entanglement import Q_TRANSITION_MAX, critical_coupling
+from .closed_form import equator_r, uhlmann_subsystem
+from .entanglement import concurrence_equator
 from .errors import (
     DegeneratePhaseError,
     DomainBoundaryError,
     GridTooCoarseError,
     IllPosedError,
 )
-from .spin_model import ModelParams
+from .spin_model import G_LIMIT, ModelParams, check_param
 
-# Inset applied to the theta sweep so samples stay off the sin(theta) = 0
-# boundary; the remaining gap is reported as part of the closure defect.
-THETA_MARGIN = 1e-6
 ROOT_CLEARANCE = 1e-9
+# Sign of Im(-2 z) for 0 < theta < pi/2, per subsystem and eigenstate j = 1..4:
+# the direction in which the phase curve crosses the real axis at the equator.
+ORIENTATION = {"A": (-1, 1, -1, 1), "B": (1, -1, -1, 1)}
 
 
 @dataclass(frozen=True)
 class WindingResult:
+    """Winding number and the distance |cos(pi r_eq)| of the curve from the root."""
+
     winding: int
-    curve_samples: np.ndarray
-    closure_defect: float
-    residual: float
+    clearance: float
 
 
 @dataclass(frozen=True)
@@ -42,37 +42,31 @@ def winding_number(
     g: float,
     q: float = 0.0,
     subsystem: str = "A",
-    theta_samples: int = 256,
     j: int = 2,
 ) -> WindingResult:
-    """Winding of the phase curve about the origin over a theta sweep.
+    """Winding of the phase curve -2 z(theta), theta in [0, pi], about the origin.
 
-    The curve is -2 z(theta) for theta in [0, pi]; the winding is the
-    accumulated argument divided by 2 pi, rounded to the nearest integer.
+    The curve is mirror-symmetric, -2 z(pi - theta) = conj(-2 z(theta)), so
+    inside the loop it meets the real axis only at the equator, at the point
+    -cos(pi r_eq).  It winds once, in the direction ORIENTATION gives, when
+    that point lies on the negative real axis, and not at all otherwise.
+    Raises IllPosedError within ROOT_CLEARANCE of the transition, where the
+    curve passes through the origin.
     """
-    if theta_samples < 64:
-        raise ValueError(f"theta_samples must be >= 64, got {theta_samples}")
-    # At the critical coupling the curve passes through the origin at the
-    # equator, which the discrete sweep can straddle without sampling; reject
-    # the coupling itself before looking at sample clearances.
-    if q <= Q_TRANSITION_MAX and abs(g - critical_coupling(q)) < ROOT_CLEARANCE:
+    if subsystem not in ORIENTATION:
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    g, q, j = check_param("g", g), check_param("q", q), check_param("j", j)
+    if subsystem == "B" and g <= G_LIMIT:
+        # Separable limit: B's reduced state is diagonal, its holonomy trivial
+        # and its curve a single point at distance 1 from the origin.
+        return WindingResult(0, 1.0)
+    cos_r = math.cos(math.pi * equator_r(concurrence_equator(g).value, q))
+    if abs(cos_r) < ROOT_CLEARANCE:
         raise IllPosedError(
-            f"winding undefined at the critical coupling g = {g:g} (q = {q:g})"
+            f"winding undefined at g = {g:g}, q = {q:g}: the curve passes "
+            f"within {abs(cos_r):.3g} of the root"
         )
-    thetas = np.linspace(THETA_MARGIN, math.pi - THETA_MARGIN, theta_samples)
-    curve = np.array(
-        [-2.0 * z_point(ModelParams(t, g, q, j), subsystem) for t in thetas]
-    )
-    if np.abs(curve).min() < ROOT_CLEARANCE:
-        raise IllPosedError(
-            f"curve passes within {ROOT_CLEARANCE:g} of the root at g = {g:g}"
-        )
-    angles = np.unwrap(np.angle(curve))
-    total = float(angles[-1] - angles[0])
-    winding = int(round(total / (2.0 * math.pi)))
-    residual = abs(total / (2.0 * math.pi) - winding)
-    defect = float(abs(curve[-1] - curve[0]))
-    return WindingResult(winding, curve, defect, residual)
+    return WindingResult(ORIENTATION[subsystem][j - 1] if cos_r > 0.0 else 0, abs(cos_r))
 
 
 def phase_map(
@@ -89,8 +83,6 @@ def phase_map(
     """
     values = np.full((len(theta_axis), len(g_axis)), np.nan)
     flags = np.zeros((len(theta_axis), len(g_axis)), dtype=int)
-    from .closed_form import uhlmann_subsystem
-
     for it, theta in enumerate(theta_axis):
         for ig, g in enumerate(g_axis):
             try:
@@ -102,6 +94,16 @@ def phase_map(
             except DegeneratePhaseError:
                 flags[it, ig] = 2
     return values, flags
+
+
+def _wrapped(x: np.ndarray) -> np.ndarray:
+    """closed_form.wrap_angle over an array, operation for operation."""
+    return x - 2.0 * math.pi * np.ceil((x - math.pi) / (2.0 * math.pi))
+
+
+def _touches(mask: np.ndarray) -> np.ndarray:
+    """Per plaquette: does any of its four corners carry the mask."""
+    return mask[:-1, :-1] | mask[:-1, 1:] | mask[1:, :-1] | mask[1:, 1:]
 
 
 def find_vortices(
@@ -116,36 +118,28 @@ def find_vortices(
     Plaquettes touching a degenerate sample are flagged as hits outright;
     those touching a domain-boundary sample are skipped.  Raises
     GridTooCoarseError when too many clean links jump by more than pi/2.
+    Hits come in row-major plaquette order.
     """
     if flags is None:
         flags = np.where(np.isnan(values), 2, 0)
-    hits: list[VortexHit] = []
-    jumpy_links = 0
-    clean_links = 0
-    for it in range(values.shape[0] - 1):
-        for ig in range(values.shape[1] - 1):
-            cell_flags = flags[it : it + 2, ig : ig + 2]
-            t_mid = 0.5 * (theta_axis[it] + theta_axis[it + 1])
-            g_mid = 0.5 * (g_axis[ig] + g_axis[ig + 1])
-            if (cell_flags == 1).any():
-                continue
-            if (cell_flags == 2).any():
-                hits.append(VortexHit(t_mid, g_mid, math.copysign(2.0 * math.pi, 1.0)))
-                continue
-            a = values[it, ig]
-            b = values[it, ig + 1]
-            c = values[it + 1, ig + 1]
-            d = values[it + 1, ig]
-            diffs = [wrap_angle(b - a), wrap_angle(c - b), wrap_angle(d - c), wrap_angle(a - d)]
-            for diff in diffs:
-                clean_links += 1
-                if abs(diff) > math.pi / 2.0:
-                    jumpy_links += 1
-            circulation = sum(diffs)
-            if abs(circulation) > math.pi:
-                hits.append(VortexHit(t_mid, g_mid, circulation))
+    boundary = _touches(flags == 1)
+    vortex = _touches(flags == 2) & ~boundary
+    clean = ~(boundary | vortex)
+    a, b = values[:-1, :-1], values[:-1, 1:]
+    c, d = values[1:, 1:], values[1:, :-1]
+    diffs = [_wrapped(b - a), _wrapped(c - b), _wrapped(d - c), _wrapped(a - d)]
+    clean_links = 4 * int(np.count_nonzero(clean))
+    jumpy_links = sum(int(np.count_nonzero(clean & (np.abs(x) > math.pi / 2.0))) for x in diffs)
     if clean_links and jumpy_links / clean_links > jump_fraction_limit:
         raise GridTooCoarseError(
             f"{jumpy_links}/{clean_links} links jump by more than pi/2"
         )
-    return hits
+    circulation = np.where(vortex, 2.0 * math.pi, diffs[0] + diffs[1] + diffs[2] + diffs[3])
+    theta_axis, g_axis = np.asarray(theta_axis), np.asarray(g_axis)
+    t_mid = 0.5 * (theta_axis[:-1] + theta_axis[1:])
+    g_mid = 0.5 * (g_axis[:-1] + g_axis[1:])
+    rows, cols = np.nonzero(vortex | (clean & (np.abs(circulation) > math.pi)))
+    return [
+        VortexHit(float(t_mid[it]), float(g_mid[ig]), float(circulation[it, ig]))
+        for it, ig in zip(rows, cols)
+    ]

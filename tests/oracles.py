@@ -1,6 +1,11 @@
 """Independent brute-force oracles used to check the closed-form routes."""
 
+import math
+
 import numpy as np
+
+from spinphase import DomainBoundaryError, GridTooCoarseError, ModelParams, VortexHit, wrap_angle
+from spinphase.closed_form import _two_z
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
 # tensor order {++, +-, -+, --}.
@@ -49,3 +54,78 @@ def connection_commutator(sqrt_rho_fn, eigvecs, eigvals, phi, step=1e-6):
             elem = eigvecs[:, i].conj() @ comm @ eigvecs[:, j] / denom
             a += elem * np.outer(eigvecs[:, i], eigvecs[:, j].conj())
     return a
+
+
+def z_point(params, subsystem):
+    """Argument z of the degree-one Chebyshev form of the Uhlmann phase.
+
+    The subsystem phase is Arg{-2 z}.  For q > 0 the (1-q) factor is carried
+    through consistently with the depolarized closed form (an extension; the
+    source analysis draws the curve for q = 0 only).
+    """
+    two_z = _two_z(params, subsystem)
+    if two_z is None:
+        # Trivial holonomy: phase 0, i.e. Arg{-2z} = 0.
+        return -0.5 + 0.0j
+    return 0.5 * (two_z[0] + 1j * two_z[1])
+
+
+def phase_curve(g, q=0.0, subsystem="A", j=2, samples=256, margin=1e-6):
+    """The phase curve -2 z(theta), sampled on [margin, pi - margin].
+
+    Besides the uniform samples, 32 geometric samples from 1e-3 to 0.05 off
+    each pole resolve the polar layer of subsystem B, of width ~g; closer to
+    the poles the closed-form eigenvectors of j = 3, 4 lose accuracy.  Samples
+    where those eigenvectors break down (1 - E^2 < 1e-12) are left out.
+    """
+    polar = np.geomspace(1e-3, 0.05, 32)
+    thetas = np.concatenate([polar, np.linspace(margin, np.pi - margin, samples), np.pi - polar])
+    curve = []
+    for theta in np.unique(thetas):
+        try:
+            curve.append(-2.0 * z_point(ModelParams(theta, g, q, j), subsystem))
+        except DomainBoundaryError:
+            pass
+    return np.array(curve)
+
+
+def sampled_winding(curve):
+    """Winding of a sampled curve: its unwrapped argument over 2 pi, rounded."""
+    angles = np.unwrap(np.angle(curve))
+    return int(round(float(angles[-1] - angles[0]) / (2.0 * np.pi)))
+
+
+def find_vortices_loop(values, theta_axis, g_axis, flags=None, jump_fraction_limit=0.05):
+    """Plaquette-by-plaquette vortex search, the reference for find_vortices."""
+    if flags is None:
+        flags = np.where(np.isnan(values), 2, 0)
+    hits = []
+    jumpy_links = 0
+    clean_links = 0
+    for it in range(values.shape[0] - 1):
+        for ig in range(values.shape[1] - 1):
+            cell_flags = flags[it : it + 2, ig : ig + 2]
+            t_mid = 0.5 * (theta_axis[it] + theta_axis[it + 1])
+            g_mid = 0.5 * (g_axis[ig] + g_axis[ig + 1])
+            if (cell_flags == 1).any():
+                continue
+            if (cell_flags == 2).any():
+                hits.append(VortexHit(t_mid, g_mid, math.copysign(2.0 * math.pi, 1.0)))
+                continue
+            a = values[it, ig]
+            b = values[it, ig + 1]
+            c = values[it + 1, ig + 1]
+            d = values[it + 1, ig]
+            diffs = [wrap_angle(b - a), wrap_angle(c - b), wrap_angle(d - c), wrap_angle(a - d)]
+            for diff in diffs:
+                clean_links += 1
+                if abs(diff) > math.pi / 2.0:
+                    jumpy_links += 1
+            circulation = sum(diffs)
+            if abs(circulation) > math.pi:
+                hits.append(VortexHit(t_mid, g_mid, circulation))
+    if clean_links and jumpy_links / clean_links > jump_fraction_limit:
+        raise GridTooCoarseError(
+            f"{jumpy_links}/{clean_links} links jump by more than pi/2"
+        )
+    return hits

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import berry_quadrature
+from oracles import berry_quadrature, z_point
 from spinphase import (
     DegeneratePhaseError,
     ModelParams,
@@ -19,7 +19,6 @@ from spinphase import (
     uhlmann_equator,
     uhlmann_subsystem,
     wrap_angle,
-    z_point,
 )
 
 PI = math.pi

@@ -91,11 +91,11 @@ CASES = {
     ),
     "winding": (
         ["winding", "--g", "0.5", "--q", "0.05"],
-        "bf4e76166546e5a947fd7e40bf0f57b7fc35ab46a85a137182c196322e2ea207",
+        "04860a17d034ae2e9681b84ad3e3381f63b1cd1b938ca1653c4566c218242a1a",
     ),
     "validate": (
         ["validate", "--grid", "2x2", "--steps", "512", "--q", "0", "0.1"],
-        "c482c77939d237b8aa7da2528895a467725b30f85f084fc52836703b78cdcf3f",
+        "ffe07fc05264856dec1f90ae2284392048ea854d695324073d254f26f9b2fa6c",
     ),
 }
 

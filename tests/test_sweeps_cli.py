@@ -1,7 +1,10 @@
+import contextlib
 import io
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinphase import cli
 from spinphase.sweeps import (
@@ -80,6 +83,11 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [r.value for r in rows] == [1.0, 0.0, 0.0]
         assert all(r.theta is None for r in rows)
+
+    def test_winding_rows_of_every_level(self):
+        # j = 3, 4 have no pole to abort on: the winding is read at the equator.
+        spec = SweepSpec((0.0, PI, 2), (0.2, 2.2, 4), (0.05,), j=3, quantity="winding")
+        assert [r.value for r in run_sweep(spec)] == [-1.0, -1.0, 0.0, 0.0]
 
     def test_winding_ill_posed_flag(self):
         g_c = 2.0 / math.sqrt(3.0)
@@ -169,7 +177,7 @@ class TestCli:
     def test_winding_output(self, capsys):
         assert cli.main(["winding", "--g", "0.5"]) == 0
         lines = dict(l.split(",") for l in capsys.readouterr().out.strip().split("\n"))
-        assert lines["winding"] == "1"
+        assert lines == {"winding": "1", "clearance": "0.723"}
 
     def test_sweep_writes_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -193,9 +201,17 @@ class TestCli:
         assert code == 0
         assert "status,OK" in out
 
+    def test_validate_of_no_point_is_not_a_pass(self, capsys):
+        # Every point of the theta = 0 row is flagged, so nothing is compared.
+        code = cli.main(["validate", "--theta-min", "0", "--theta-max", "0", "--grid", "2x2"])
+        out = capsys.readouterr().out.split("\n")
+        assert code == cli.EXIT_VALIDATION
+        assert out[:2] == ["points,0", "flagged,4"] and out[-2] == "status,EMPTY"
+
     def test_exit_code_usage(self, capsys):
         assert cli.main(["phase", "--theta", "1.0"]) == 1  # missing --g
         assert cli.main(["nonsense"]) == 1
+        assert cli.main(["winding", "--g", "0.5", "--samples", "256"]) == 1
 
     def test_exit_code_domain(self, capsys):
         # Winding at the critical coupling is ill posed.
@@ -225,3 +241,51 @@ class TestCli:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# Field angles anywhere, and 1e-14 to 1e-6 from either pole, where reduced
+# states are nearly diagonal; couplings anywhere, and in the separable limit.
+_POLAR = st.floats(-14.0, -6.0).map(lambda e: 10.0**e)
+_THETAS = st.one_of(st.floats(0.0, PI), _POLAR, _POLAR.map(lambda d: PI - d))
+_COUPLINGS = st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e-8))
+_STRENGTHS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.05, 0.1073]))
+
+
+@st.composite
+def _cli_calls(draw):
+    """Valid calls of every command but validate, whose holonomy is slow."""
+    theta, g, q = draw(_THETAS), draw(_COUPLINGS), draw(_STRENGTHS)
+    state = ["--q", repr(q), "--j", str(draw(st.integers(1, 4)))]
+    subsystem = ["--subsystem", draw(st.sampled_from(["A", "B", "composite"]))]
+    point = ["--theta", repr(theta), "--g", repr(g), *state]
+    command = draw(st.sampled_from(["spectrum", "phase", "concurrence", "critical",
+                                    "winding", "sweep"]))
+    if command == "spectrum":
+        return ["spectrum", *point[:4]]
+    if command == "phase":
+        quantity = draw(st.sampled_from(["uhlmann_closed", "berry", "interferometric"]))
+        return ["phase", *point, *subsystem, "--quantity", quantity]
+    if command == "concurrence":
+        return ["concurrence", *point]
+    if command == "critical":
+        return ["critical", "--q", repr(q)]
+    if command == "winding":
+        return ["winding", "--g", repr(g), *state, "--subsystem", draw(st.sampled_from("AB"))]
+    thetas, gs = sorted((theta, draw(_THETAS))), sorted((g, draw(_COUPLINGS)))
+    quantity = draw(st.sampled_from(["uhlmann_closed", "berry", "interferometric",
+                                     "concurrence", "winding"]))
+    return ["sweep", "--quantity", quantity, *state, *subsystem, "--grid", "3x3",
+            "--theta-min", repr(thetas[0]), "--theta-max", repr(thetas[1]),
+            "--g-min", repr(gs[0]), "--g-max", repr(gs[1])]
+
+
+@given(_cli_calls())
+@example(["phase", "--theta", "1e-8", "--g", "1", "--j", "1"])
+@example(["phase", "--theta", "3.1415926342907925", "--g", "0", "--q", "0.1073", "--j", "4"])
+@example(["sweep", "--quantity", "uhlmann_closed", "--q", "0.1073", "--j", "1",
+          "--theta-min", "3.1415926478294924", "--theta-max", "3.141592653589793",
+          "--g-min", "1.131964823075859", "--g-max", "1.1329648230758589", "--grid", "3x3"])
+def test_cli_answers_with_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_DOMAIN)
