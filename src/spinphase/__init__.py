@@ -23,8 +23,7 @@ from .entanglement import (
     ConcurrenceValue,
     concurrence_depolarized,
     concurrence_equator,
-    concurrence_pure_from_subsystem,
-    concurrence_wootters,
+    concurrence_pure,
     critical_coupling,
     transition_concurrence,
 )
@@ -58,10 +57,8 @@ from .states import (
     QubitState,
     bloch,
     depolarize,
-    depolarize_reduced,
     pure_density,
     reduce_state,
-    validate_density,
 )
 from .sweeps import SweepSpec, SweepRow, cross_validate, run_sweep, write_csv
 from .topology import VortexHit, WindingResult, find_vortices, phase_map, winding_number

@@ -1,7 +1,7 @@
 """Analytic geometric-phase formulas: Berry, Uhlmann and interferometric.
 
-Level Berry phases and their weighted sum enter the Uhlmann formulas
-unwrapped; only final outputs are reduced to the principal branch (-pi, pi].
+Level Berry phases enter the Uhlmann formula unwrapped; only final outputs
+are reduced to the principal branch (-pi, pi].
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_pure_from_subsystem
 from .errors import DegeneratePhaseError
 from .spin_model import ModelParams, check_param, eigenvector_components
 from .states import QubitState, reduce_state
@@ -68,11 +67,6 @@ def mean_berry(qs: QubitState) -> float:
     return qs.p1 * g1 + qs.p2 * g2
 
 
-def _r_factor(g1: float, g2: float, q: float, c_pure: float) -> float:
-    radicand = 1.0 - g1 * g2 * (1.0 - q) ** 2 * (1.0 - c_pure * c_pure) / math.pi**2
-    return math.sqrt(max(radicand, 0.0))
-
-
 def _phase_from_parts(re: float, im: float) -> PhaseValue:
     if abs(re) < 1e-14 and abs(im) < 1e-14:
         raise DegeneratePhaseError("phase argument vanishes (vortex point)")
@@ -86,26 +80,25 @@ def _phase_from_parts(re: float, im: float) -> PhaseValue:
     return PhaseValue(value)
 
 
-def _two_z(params: ModelParams, subsystem: str) -> tuple[float, float] | None:
-    """Real and imaginary parts of 2 z, or None when the reduced state is trivial.
+def _two_z(qs: QubitState) -> tuple[float, float] | None:
+    """Real and imaginary parts of 2 z for a reduced state, None when it is trivial.
 
-    2 z = cos(pi r) + i (1-q) (gbar - pi) sin(pi r)/(pi r), with r built from
-    the level Berry phases and the pure-state concurrence.
+    With Bloch length |n| = p2 - p1 and level Berry phases g1 + g2 = 2 pi,
+    2 z = cos(pi r) + i |n| (g2 - g1)/2 sin(pi r)/(pi r) and
+    r^2 = 1 - g1 g2 |n|^2 / pi^2; depolarization acts only through the state.
     """
-    qs = reduce_state(params.j, params.theta, params.g, subsystem)
     if qs.trivial:
         return None
     g1, g2 = berry_qubit_levels(qs)
-    gbar = mean_berry(qs)
-    c_pure = concurrence_pure_from_subsystem(qs).value
-    r = _r_factor(g1, g2, params.q, c_pure)
+    n = qs.p2 - qs.p1
+    r = math.sqrt(max(1.0 - g1 * g2 * n * n / math.pi**2, 0.0))
     # np.sinc(r) = sin(pi r)/(pi r), series-safe at r -> 0.
-    return math.cos(math.pi * r), (1.0 - params.q) * (gbar - math.pi) * float(np.sinc(r))
+    return math.cos(math.pi * r), n * (g2 - g1) / 2.0 * float(np.sinc(r))
 
 
 def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
     """Exact subsystem Uhlmann phase Arg{-2 z}, depolarized or pure (q = 0)."""
-    two_z = _two_z(params, subsystem)
+    two_z = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
     if two_z is None:
         return PhaseValue(0.0, trivial=True)
     return _phase_from_parts(-two_z[0], -two_z[1])
@@ -139,11 +132,8 @@ def interferometric(probs: tuple[float, float], levels: tuple[float, float]) -> 
 
 
 def interferometric_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
-    """Interferometric phase of a subsystem, with depolarized weights for q > 0."""
-    qs = reduce_state(params.j, params.theta, params.g, subsystem)
+    """Interferometric phase of a subsystem, weighted by the depolarized populations."""
+    qs = reduce_state(params.j, params.theta, params.g, subsystem, params.q)
     if qs.trivial:
         return PhaseValue(0.0, trivial=True)
-    levels = berry_qubit_levels(qs)
-    p1 = params.q / 2.0 + (1.0 - params.q) * qs.p1
-    p2 = params.q / 2.0 + (1.0 - params.q) * qs.p2
-    return interferometric((p1, p2), levels)
+    return interferometric((qs.p1, qs.p2), berry_qubit_levels(qs))

@@ -5,19 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfTransitionRangeError
-from .spin_model import check_param
-from .states import QubitState, validate_density
+from .spin_model import check_param, eigenvector_components
 
 G_CRITICAL_PURE = 2.0 / math.sqrt(3.0)
 # Largest depolarization strength that still admits a transition.
 Q_TRANSITION_MAX = 1.0 - math.sqrt(3.0) / 2.0
-
-_SYSY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
 
 
 @dataclass(frozen=True)
@@ -30,31 +23,14 @@ class ConcurrenceValue:
             raise ValueError(f"concurrence out of [0, 1]: {self.value}")
 
 
-def concurrence_wootters(rho: np.ndarray) -> ConcurrenceValue:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} from the spin-flipped state."""
-    rho = validate_density(rho)
-    # The lambda_i (square roots of the rho rho_flipped spectrum) equal the
-    # singular values of sqrt(rho) Y conj(sqrt(rho)) with Y = sigma_y x
-    # sigma_y; the SVD route avoids the sqrt amplification of eigenvalue
-    # rounding.  Rank-deficient directions are clamped to exact zero.
-    w, v = np.linalg.eigh(rho)
-    w = np.where(w < 1e-14, 0.0, w)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    ev = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.conj(), compute_uv=False)
-    ev = np.sort(ev)
-    value = max(0.0, ev[3] - ev[2] - ev[1] - ev[0])
-    return ConcurrenceValue(min(value, 1.0), "wootters")
+def concurrence_pure(j: int, theta: float, g: float) -> ConcurrenceValue:
+    """Concurrence of the j-th eigenstate, 2 |u2 u3 - u1 u4| / N.
 
-
-def concurrence_pure_from_subsystem(qs: QubitState) -> ConcurrenceValue:
-    """Concurrence of a pure composite state from its subsystem purity: 2 sqrt(p1 p2)."""
-    if qs.q > 0.0:
-        raise ValueError(
-            "subsystem-purity concurrence only applies to pure composite states "
-            f"(coefficients carry q = {qs.q:g})"
-        )
-    det = max(qs.p1 * qs.p2, 0.0)
-    return ConcurrenceValue(min(2.0 * math.sqrt(det), 1.0), "purity")
+    For a pure state a|+-> + b|++> + c|--> + d|-+> the concurrence is
+    2 |b c - a d|; the phases e^{-+i phi} of u1 and u4 cancel in the product.
+    """
+    u1, u2, u3, u4, norm = eigenvector_components(j, theta, g)
+    return ConcurrenceValue(min(2.0 * abs(u2 * u3 - u1 * u4) / norm, 1.0), "components")
 
 
 def concurrence_equator(g: float) -> ConcurrenceValue:

@@ -17,14 +17,10 @@ import numpy as np
 
 from .closed_form import PhaseValue, wrap_angle
 from .errors import ConvergenceFailureError, DegeneratePhaseError
-from .spin_model import MAX_STEPS, ModelParams, check_param, eigenbasis, eigenvector_components
-from .states import QubitState
-
-SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+from .spin_model import (
+    MAX_STEPS, PAULI, ModelParams, check_param, eigenbasis, eigenvector_components,
 )
+from .states import QubitState
 
 DEFAULT_STEPS = 2000
 PHASE_TOL = 1e-8
@@ -97,9 +93,9 @@ def reduced_sampler(qs: QubitState) -> Sampler:
 
     def sample(phis: np.ndarray) -> np.ndarray:
         n_dot_sigma = (
-            -delta * np.cos(phis)[:, None, None] * SIGMA[0][None]
-            - delta * np.sin(phis)[:, None, None] * SIGMA[1][None]
-            + SIGMA[2][None]
+            -delta * np.cos(phis)[:, None, None] * PAULI[0][None]
+            - delta * np.sin(phis)[:, None, None] * PAULI[1][None]
+            + PAULI[2][None]
         )
         return -2j * dp * n_dot_sigma
 

@@ -102,12 +102,22 @@ def hamiltonian(theta: float, phi: float, g: float) -> np.ndarray:
     return h[np.ix_(_BASIS_PERM, _BASIS_PERM)]
 
 
+def _spectrum(theta: float, g: float) -> tuple[float, float, float, float, float]:
+    """sin(theta), cos(theta), R = sqrt(g^2 + 4 sin^2 theta), E1 and E3.
+
+    E3 comes from E1 E3 = sqrt(1 + g^2 cos^2 theta), so neither energy is a
+    cancelling difference.
+    """
+    st, ct = math.sin(theta), math.cos(theta)
+    big_r = math.sqrt(g * g + 4.0 * st ** 2)
+    e1 = math.sqrt(1.0 + g * g / 2.0 + g * big_r / 2.0)
+    return st, ct, big_r, e1, math.sqrt(1.0 + (g * ct) ** 2) / e1
+
+
 def eigenvalues(theta: float, g: float) -> tuple[float, float, float, float]:
     """Closed-form energies (E1, E2, E3, E4) with E2 = -E1 and E4 = -E3."""
     theta, g = check_param("theta", theta), check_param("g", g)
-    root = g * math.sqrt(g * g + 4.0 * math.sin(theta) ** 2) / 2.0
-    e1 = math.sqrt(1.0 + g * g / 2.0 + root)
-    e3 = math.sqrt(max(1.0 + g * g / 2.0 - root, 0.0))
+    _, _, _, e1, e3 = _spectrum(theta, g)
     return (e1, -e1, e3, -e3)
 
 
@@ -116,14 +126,16 @@ def eigenvector_components(
 ) -> tuple[float, float, float, float, float]:
     """Real components (u1, u2, u3, u4) of state j and their norm sum N.
 
-    For g below G_LIMIT the separable-limit components are used; on the
-    sin(theta) boundary with finite coupling no closed form exists and a
-    DomainBoundaryError is raised.
+    With sigma = +1 for j = 1, 2 and -1 for j = 3, 4: u1 = sin(theta),
+    u2 = (g + sigma R)/2, u3 = E - cos(theta) and u4 = u1 u3 / u2, each
+    written so that no difference cancels.  For g below G_LIMIT the
+    separable-limit components are used; on the sin(theta) boundary with
+    finite coupling no closed form exists and a DomainBoundaryError is raised.
     """
     theta, g = check_param("theta", theta), check_param("g", g)
     check_param("j", j)
-    e = eigenvalues(theta, g)[j - 1]
-    st, ct = math.sin(theta), math.cos(theta)
+    st, ct, big_r, e1, e3 = _spectrum(theta, g)
+    e = (e1, -e1, e3, -e3)[j - 1]
     if g <= G_LIMIT:
         # Separable limit: components of the g -> 0+ eigenstates.
         sign = 1.0 if j in (1, 2) else -1.0
@@ -135,15 +147,14 @@ def eigenvector_components(
                 f"sin(theta) = {st:g} too small for the closed-form "
                 f"eigenvectors at g = {g:g}"
             )
-        denom = 1.0 - e * e
-        if abs(denom) < 1e-12:
-            raise DomainBoundaryError(
-                f"1 - E_{j}^2 = {denom:g}: eigenvector formula breaks down"
-            )
         u1 = st
-        u2 = g * (ct * ct - e * e) / denom
-        u3 = e - ct
-        u4 = g * st * (ct - e) / denom
+        # u2 solves u2^2 = sin^2 theta + g u2; the two roots multiply to
+        # -sin^2 theta, which gives the sigma = -1 root without cancelling.
+        u2 = (g + big_r) / 2.0 if j <= 2 else -2.0 * st * st / (g + big_r)
+        # E^2 - cos^2 theta = u2^2, so where E and cos(theta) share a sign
+        # the difference E - cos(theta) becomes a quotient.
+        u3 = u2 * u2 / (e + ct) if e * ct > 0.0 else e - ct
+        u4 = u1 * u3 / u2
     norm = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
     if norm <= 0.0:
         raise DomainBoundaryError(f"vanishing eigenvector norm for j={j} at theta={theta:g}, g={g:g}")

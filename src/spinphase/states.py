@@ -14,20 +14,6 @@ from .spin_model import check_param, eigenstate, eigenvector_components
 C_TRIVIAL = 1e-14
 
 
-def validate_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return rho
-
-
 def pure_density(j: int, theta: float, g: float, phi: float) -> np.ndarray:
     """Rank-1 projector onto the j-th composite eigenstate."""
     v = eigenstate(j, theta, g, phi)
@@ -47,8 +33,7 @@ class QubitState:
 
     The off-diagonal entry at loop angle phi is c e^{-i phi}; a, c are real and
     independent of phi.  p1 <= p2 are the eigenvalues, beta/eignorm the
-    eigenvector data, delta = (2a - 1)/(2c) (None when c = 0).  q records the
-    depolarization already applied to the coefficients.
+    eigenvector data, delta = (2a - 1)/(2c) (None when c = 0).
     """
 
     a: float
@@ -61,10 +46,9 @@ class QubitState:
     n1: float
     n2: float
     delta: float | None
-    q: float = 0.0
 
     @classmethod
-    def from_coefficients(cls, a: float, c: float, subsystem: str, q: float = 0.0) -> "QubitState":
+    def from_coefficients(cls, a: float, c: float, subsystem: str) -> "QubitState":
         if subsystem not in ("A", "B"):
             raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
         if not (math.isfinite(a) and math.isfinite(c)):
@@ -88,7 +72,7 @@ class QubitState:
             n1 = beta1 * beta1 + 1.0
             n2 = beta2 * beta2 + 1.0
             delta = (2.0 * a - 1.0) / (2.0 * c)
-        return cls(a, c, subsystem, p1, p2, beta1, beta2, n1, n2, delta, q)
+        return cls(a, c, subsystem, p1, p2, beta1, beta2, n1, n2, delta)
 
     @property
     def trivial(self) -> bool:
@@ -101,13 +85,15 @@ class QubitState:
         return np.array([[self.a, off], [np.conj(off), 1.0 - self.a]])
 
 
-def reduce_state(j: int, theta: float, g: float, subsystem: str) -> QubitState:
-    """Reduced state of subsystem A or B for the j-th composite eigenstate.
+def reduce_state(j: int, theta: float, g: float, subsystem: str, q: float = 0.0) -> QubitState:
+    """Reduced state of subsystem A or B for the depolarized j-th eigenstate.
 
-    The coefficients are phi-independent; for subsystem B they refer to the
+    Depolarization maps the coefficients to a -> q/2 + (1-q) a and
+    c -> (1-q) c.  They are phi-independent; for subsystem B they refer to the
     reduced matrix written in reversed basis order, which leaves every derived
     phase unchanged.
     """
+    q = check_param("q", q)
     u1, u2, u3, u4, norm = eigenvector_components(j, theta, g)
     if subsystem == "A":
         a = (u1 * u1 + u2 * u2) / norm
@@ -117,16 +103,7 @@ def reduce_state(j: int, theta: float, g: float, subsystem: str) -> QubitState:
         c = (u1 * u2 + u3 * u4) / norm
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return QubitState.from_coefficients(a, c, subsystem)
-
-
-def depolarize_reduced(qs: QubitState, q: float) -> QubitState:
-    """Depolarized coefficients a -> q/2 + (1-q) a, c -> (1-q) c."""
-    q = check_param("q", q)
-    total = 1.0 - (1.0 - qs.q) * (1.0 - q)
-    return QubitState.from_coefficients(
-        q / 2.0 + (1.0 - q) * qs.a, (1.0 - q) * qs.c, qs.subsystem, q=total
-    )
+    return QubitState.from_coefficients(q / 2.0 + (1.0 - q) * a, (1.0 - q) * c, subsystem)
 
 
 def bloch(qs: QubitState, phi: float) -> tuple[np.ndarray, float]:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from . import closed_form, holonomy, states
-from .entanglement import concurrence_wootters
+from .entanglement import concurrence_depolarized, concurrence_pure
 from .errors import (
     ConvergenceFailureError,
     DegeneratePhaseError,
@@ -108,9 +108,7 @@ def _numeric_phase(params: ModelParams, subsystem: str, steps: int) -> float:
         )
         sampler = holonomy.composite_sampler(params)
     else:
-        qs = states.depolarize_reduced(
-            states.reduce_state(params.j, params.theta, params.g, subsystem), params.q
-        )
+        qs = states.reduce_state(params.j, params.theta, params.g, subsystem, params.q)
         rho0 = qs.matrix(params.phi0)
         sampler = holonomy.reduced_sampler(qs)
     phase, _ = holonomy.converged_phase(sampler, rho0, params.phi0, start_steps=steps)
@@ -123,8 +121,8 @@ _VALUES = {
     "uhlmann_closed": lambda p, sub, steps: closed_form.uhlmann_subsystem(p, sub).value,
     "berry": lambda p, sub, steps: closed_form.berry_composite(p.j, p.theta, p.g).value,
     "interferometric": lambda p, sub, steps: closed_form.interferometric_subsystem(p, sub).value,
-    "concurrence": lambda p, sub, steps: concurrence_wootters(
-        states.depolarize(states.pure_density(p.j, p.theta, p.g, 0.0), p.q)
+    "concurrence": lambda p, sub, steps: concurrence_depolarized(
+        concurrence_pure(p.j, p.theta, p.g), p.q
     ).value,
     # A winding belongs to the whole theta loop; params.theta is not used.
     "winding": lambda p, sub, steps: float(winding_number(p.g, p.q, sub, j=p.j).winding),

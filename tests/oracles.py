@@ -4,12 +4,56 @@ import math
 
 import numpy as np
 
-from spinphase import DomainBoundaryError, GridTooCoarseError, ModelParams, VortexHit, wrap_angle
+from spinphase import (
+    ConcurrenceValue,
+    GridTooCoarseError,
+    ModelParams,
+    VortexHit,
+    reduce_state,
+    wrap_angle,
+)
 from spinphase.closed_form import _two_z
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
 # tensor order {++, +-, -+, --}.
 TO_STANDARD = np.array([1, 0, 3, 2])
+# sigma_y x sigma_y, the two-qubit spin flip.
+_SYSY = np.kron(
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
+)
+
+
+def validate_density(rho, tol=1e-10):
+    """Check Hermiticity, unit trace and positivity of a density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if np.abs(rho - rho.conj().T).max() > tol:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > tol:
+        raise ValueError("density matrix trace differs from 1")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return rho
+
+
+def concurrence_wootters(rho):
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} from the spin-flipped state.
+
+    Wootters, PRL 80, 2245 (1998); valid for any two-qubit density matrix.
+    """
+    rho = validate_density(rho)
+    # The lambda_i (square roots of the rho rho_flipped spectrum) equal the
+    # singular values of sqrt(rho) Y conj(sqrt(rho)) with Y = sigma_y x
+    # sigma_y; the SVD route avoids the sqrt amplification of eigenvalue
+    # rounding.  Rank-deficient directions are clamped to exact zero.
+    w, v = np.linalg.eigh(rho)
+    w = np.where(w < 1e-14, 0.0, w)
+    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
+    ev = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.conj(), compute_uv=False)
+    ev = np.sort(ev)
+    value = max(0.0, ev[3] - ev[2] - ev[1] - ev[0])
+    return ConcurrenceValue(min(value, 1.0), "wootters")
 
 
 def partial_trace_standard(rho, keep):
@@ -59,11 +103,11 @@ def connection_commutator(sqrt_rho_fn, eigvecs, eigvals, phi, step=1e-6):
 def z_point(params, subsystem):
     """Argument z of the degree-one Chebyshev form of the Uhlmann phase.
 
-    The subsystem phase is Arg{-2 z}.  For q > 0 the (1-q) factor is carried
-    through consistently with the depolarized closed form (an extension; the
-    source analysis draws the curve for q = 0 only).
+    The subsystem phase is Arg{-2 z}.  For q > 0, z is that of the
+    depolarized reduced state (an extension; the source analysis draws the
+    curve for q = 0 only).
     """
-    two_z = _two_z(params, subsystem)
+    two_z = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
     if two_z is None:
         # Trivial holonomy: phase 0, i.e. Arg{-2z} = 0.
         return -0.5 + 0.0j
@@ -73,20 +117,13 @@ def z_point(params, subsystem):
 def phase_curve(g, q=0.0, subsystem="A", j=2, samples=256, margin=1e-6):
     """The phase curve -2 z(theta), sampled on [margin, pi - margin].
 
-    Besides the uniform samples, 32 geometric samples from 1e-3 to 0.05 off
-    each pole resolve the polar layer of subsystem B, of width ~g; closer to
-    the poles the closed-form eigenvectors of j = 3, 4 lose accuracy.  Samples
-    where those eigenvectors break down (1 - E^2 < 1e-12) are left out.
+    Besides the uniform samples, 32 geometric samples from 1e-6 to 0.05 off
+    each pole resolve the polar layer of subsystem B, of width ~g.
     """
-    polar = np.geomspace(1e-3, 0.05, 32)
+    polar = np.geomspace(1e-6, 0.05, 32)
     thetas = np.concatenate([polar, np.linspace(margin, np.pi - margin, samples), np.pi - polar])
-    curve = []
-    for theta in np.unique(thetas):
-        try:
-            curve.append(-2.0 * z_point(ModelParams(theta, g, q, j), subsystem))
-        except DomainBoundaryError:
-            pass
-    return np.array(curve)
+    return np.array([-2.0 * z_point(ModelParams(theta, g, q, j), subsystem)
+                     for theta in np.unique(thetas)])
 
 
 def sampled_winding(curve):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import concurrence_wootters
 from spinphase import (
     G_CRITICAL_PURE,
     Q_TRANSITION_MAX,
@@ -13,8 +14,7 @@ from spinphase import (
     berry_composite,
     concurrence_depolarized,
     concurrence_equator,
-    concurrence_pure_from_subsystem,
-    concurrence_wootters,
+    concurrence_pure,
     critical_coupling,
     depolarize,
     find_vortices,
@@ -126,9 +126,9 @@ def test_07_concurrence_oracles():
     with _Reporter("7 closed-form concurrences vs Wootters"):
         for theta in np.linspace(0.2, PI - 0.2, 12):
             for g in np.linspace(0.1, 3.0, 12):
-                ref = concurrence_wootters(pure_density(2, float(theta), float(g), 0.0))
-                qs = reduce_state(2, float(theta), float(g), "A")
-                assert abs(concurrence_pure_from_subsystem(qs).value - ref.value) < 1e-10
+                for j in (1, 2, 3, 4):
+                    ref = concurrence_wootters(pure_density(j, float(theta), float(g), 0.0))
+                    assert abs(concurrence_pure(j, float(theta), float(g)).value - ref.value) < 1e-13
         for j in (1, 2, 3, 4):
             for g in np.linspace(0.0, 4.0, 30):
                 ref = concurrence_wootters(pure_density(j, PI / 2, float(g), 0.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oracles import berry_quadrature, z_point
 from spinphase import (
@@ -20,6 +22,7 @@ from spinphase import (
     uhlmann_subsystem,
     wrap_angle,
 )
+from spinphase.closed_form import _two_z, equator_r
 
 PI = math.pi
 
@@ -179,6 +182,35 @@ class TestUhlmannSubsystem:
         # q = 1 gives r = 1 exactly: Arg{-cos(pi)} = 0.
         p = ModelParams(theta=1.0, g=1.3, q=1.0, j=2)
         assert uhlmann_subsystem(p, "A").value == 0.0
+
+
+class TestMirrorAndEquator:
+    @given(st.floats(0.01, PI / 2), st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+           st.floats(0.0, 0.5), st.integers(1, 4), st.sampled_from("AB"))
+    def test_mirror_reverses_the_phase(self, theta, g, q, j, subsystem):
+        # Phi(pi - theta) = -Phi(theta) mod 2 pi, for both subsystem phases.
+        for phase in (uhlmann_subsystem, interferometric_subsystem):
+            try:
+                there = phase(ModelParams(theta, g, q, j), subsystem).value
+                back = phase(ModelParams(PI - theta, g, q, j), subsystem).value
+            except DegeneratePhaseError:
+                continue
+            assert abs(wrap_angle(there + back)) <= 1e-12
+
+    @given(st.floats(-3.0, 2.0).map(lambda e: 10.0**e), st.floats(0.0, 1.0),
+           st.integers(1, 4), st.sampled_from("AB"))
+    def test_state_r_is_the_equator_r(self, g, q, j, subsystem):
+        # On the equator g1 g2 |n|^2 / pi^2 = (1-q)^2 (1 - C^2), so the r of the
+        # depolarized state is equator_r(C, q) and 2 z = cos(pi r) is real.
+        qs = reduce_state(j, PI / 2, g, subsystem, q)
+        assume(not qs.trivial)
+        c = concurrence_equator(g).value
+        g1, g2 = berry_qubit_levels(qs)
+        n = qs.p2 - qs.p1
+        assert g1 * g2 * n * n / PI**2 == pytest.approx((1 - q) ** 2 * (1 - c * c), abs=1e-14)
+        re, im = _two_z(qs)
+        assert re == pytest.approx(math.cos(PI * equator_r(c, q)), abs=1e-14)
+        assert abs(im) <= 1e-14
 
 
 class TestInterferometric:

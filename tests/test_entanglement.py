@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import concurrence_wootters
 from spinphase import (
     G_CRITICAL_PURE,
     Q_TRANSITION_MAX,
     OutOfTransitionRangeError,
     concurrence_depolarized,
     concurrence_equator,
-    concurrence_pure_from_subsystem,
-    concurrence_wootters,
+    concurrence_pure,
     critical_coupling,
     depolarize,
     pure_density,
     reduce_state,
     transition_concurrence,
 )
+from strategies import COUPLINGS, THETAS, with_reproducers
 
 
 class TestWootters:
@@ -44,31 +47,38 @@ class TestWootters:
 
 
 class TestPureFromSubsystem:
+    # A pure two-qubit state has C = 2 sqrt(p1 p2) in terms of either reduced
+    # state's spectrum; the components give it without forming that state.
+
     def test_pure_reduced_state_means_separable(self):
         qs = reduce_state(2, 0.7, 1e-12, "A")
-        assert concurrence_pure_from_subsystem(qs).value == pytest.approx(0.0, abs=1e-9)
+        assert qs.p1 == pytest.approx(0.0, abs=1e-9)
+        assert concurrence_pure(2, 0.7, 1e-12).value == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_reduced_state_means_bell(self):
-        from spinphase import QubitState
-
-        qs = QubitState.from_coefficients(0.5, 0.0, "A")
-        assert concurrence_pure_from_subsystem(qs).value == pytest.approx(1.0, abs=1e-14)
+        # Strong coupling on the equator: C = g / sqrt(g^2 + 4) -> 1.
+        qs = reduce_state(3, math.pi / 2, 1e4, "B")
+        assert qs.p1 == pytest.approx(0.5, abs=1e-3)
+        assert concurrence_pure(3, math.pi / 2, 1e4).value == pytest.approx(1.0, abs=1e-7)
 
     def test_matches_wootters_on_grid(self):
         for theta in np.linspace(0.2, math.pi - 0.2, 15):
             for g in np.linspace(0.1, 3.0, 15):
                 ref = concurrence_wootters(pure_density(2, float(theta), float(g), 0.0))
                 qs = reduce_state(2, float(theta), float(g), "A")
-                assert concurrence_pure_from_subsystem(qs).value == pytest.approx(
-                    ref.value, abs=1e-10
-                )
+                value = concurrence_pure(2, float(theta), float(g)).value
+                assert value == pytest.approx(ref.value, abs=1e-13)
+                assert value == pytest.approx(2.0 * math.sqrt(qs.p1 * qs.p2), abs=1e-10)
 
-    def test_flags_depolarized_input(self):
-        from spinphase import depolarize_reduced
 
-        qs = depolarize_reduced(reduce_state(2, 0.7, 1.0, "A"), 0.2)
-        with pytest.raises(ValueError):
-            concurrence_pure_from_subsystem(qs)
+class TestComponentConcurrence:
+    @given(THETAS, COUPLINGS, st.integers(1, 4), st.floats(0.0, 1.0))
+    @with_reproducers(3, 0.2)
+    def test_matches_wootters_on_depolarized_states(self, theta, g, j, q):
+        value = concurrence_depolarized(concurrence_pure(j, theta, g), q).value
+        assert 0.0 <= value <= 1.0
+        ref = concurrence_wootters(depolarize(pure_density(j, theta, g, 0.0), q))
+        assert abs(value - ref.value) <= 1e-13
 
 
 class TestEquator:
@@ -98,7 +108,7 @@ class TestDepolarizedRelation:
             for g in np.linspace(0.2, 3.0, 6):
                 for q in (0.05, 0.2, 0.5, 0.9):
                     rho_p = pure_density(2, float(theta), float(g), 0.0)
-                    c_pure = concurrence_wootters(rho_p)
+                    c_pure = concurrence_pure(2, float(theta), float(g))
                     ref = concurrence_wootters(depolarize(rho_p, q))
                     assert concurrence_depolarized(c_pure, q).value == pytest.approx(
                         ref.value, abs=1e-10

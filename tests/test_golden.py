@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import math
+import sys
 
 import pytest
 
@@ -36,7 +37,7 @@ CASES = {
     "sweep-berry": (
         ["sweep", "--quantity", "berry", "--subsystem", "composite", "--j", "3",
          *CLOSED_GRID],
-        "a79eb30e754c5eb2313c03c3202d234f8d99992641d105979a68a19ddf1b5fe6",
+        "ff77f4608d26c5fc7475b216e4208c4c834576e1e38778881e520d774eae7b38",
     ),
     "sweep-interferometric": (
         ["sweep", "--quantity", "interferometric", "--subsystem", "B", "--q", "0", "0.3",
@@ -45,7 +46,7 @@ CASES = {
     ),
     "sweep-concurrence": (
         ["sweep", "--quantity", "concurrence", "--j", "1", "--q", "0", "0.3", *CLOSED_GRID],
-        "8f4e7ba68b7284dbd57ee4fdbf92d12175c6501f7136aaae94d343fc7a2c6e1d",
+        "26d0c3fccd1d9c866086f25277e7f281484bba67aaab6dfa82aa32715d4dbd24",
     ),
     "sweep-winding": (
         ["sweep", "--quantity", "winding", "--q", "0.05", "--grid", "2x6",
@@ -95,7 +96,7 @@ CASES = {
     ),
     "validate": (
         ["validate", "--grid", "2x2", "--steps", "512", "--q", "0", "0.1"],
-        "ffe07fc05264856dec1f90ae2284392048ea854d695324073d254f26f9b2fa6c",
+        "6ad49ecc9ac9c992e90350171a1dbe11ce089ece4ff2497540b61e72ea199f19",
     ),
 }
 
@@ -114,5 +115,11 @@ def test_output_bytes(name):
 
 
 if __name__ == "__main__":
-    for name, (argv, _) in sorted(CASES.items()):
-        print(name, hashlib.sha256(run(argv).encode()).hexdigest())
+    # Print "name, recorded, actual" for each digest that moved; exit 1 if any did.
+    moved = 0
+    for name, (argv, recorded) in sorted(CASES.items()):
+        actual = hashlib.sha256(run(argv).encode()).hexdigest()
+        if actual != recorded:
+            moved += 1
+            print(f"{name}, {recorded}, {actual}")
+    sys.exit(1 if moved else 0)

@@ -13,7 +13,6 @@ from spinphase import (
     composite_sampler,
     converged_phase,
     depolarize,
-    depolarize_reduced,
     depolarized_spectrum,
     eigenbasis,
     integrate_holonomy,
@@ -95,7 +94,7 @@ class TestCompositeConnection:
 
 class TestReducedConnection:
     def test_antihermitian_and_traceless(self):
-        qs = depolarize_reduced(reduce_state(2, 0.8, 1.5, "A"), 0.2)
+        qs = reduce_state(2, 0.8, 1.5, "A", 0.2)
         a = at(reduced_sampler(qs), 0.7)
         assert np.allclose(a, -a.conj().T, atol=1e-14)
         assert abs(np.trace(a)) < 1e-14
@@ -106,7 +105,7 @@ class TestReducedConnection:
             (2, 1.9, 0.7, 0.3, "B", 2.1),
             (1, PI / 2, 2.5, 0.1, "A", 5.0),
         ]:
-            qs = depolarize_reduced(reduce_state(j, theta, g, sub), q)
+            qs = reduce_state(j, theta, g, sub, q)
             a = at(reduced_sampler(qs), phi)
             w, v = np.linalg.eigh(qs.matrix(phi))
             oracle = connection_commutator(reduced_sqrt(qs), v, w, phi)
@@ -144,14 +143,14 @@ class TestIntegration:
             (2, 1.1, 0.8, 0.25, "B"),
             (3, 2.0, 2.3, 0.1, "A"),
         ]:
-            qs = depolarize_reduced(reduce_state(j, theta, g, sub), q)
+            qs = reduce_state(j, theta, g, sub, q)
             phase, _ = converged_phase(reduced_sampler(qs), qs.matrix(0.0), 0.0)
             expected = uhlmann_subsystem(ModelParams(theta, g, q, j), sub)
             assert phase.value == pytest.approx(expected.value, abs=1e-9)
 
     def test_gauge_start_independence(self):
         # The loop phase must not depend on the starting angle phi0.
-        qs = depolarize_reduced(reduce_state(2, 1.2, 1.7, "A"), 0.2)
+        qs = reduce_state(2, 1.2, 1.7, "A", 0.2)
         reference = None
         for phi0 in (0.0, PI / 3, 1.7):
             phase, _ = converged_phase(reduced_sampler(qs), qs.matrix(phi0), phi0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spinphase import (
     DomainBoundaryError,
@@ -12,6 +13,7 @@ from spinphase import (
     hamiltonian,
 )
 from spinphase.spin_model import MAX_STEPS, check_param
+from strategies import COUPLINGS, THETAS, with_reproducers
 
 INTERIOR_THETAS = np.linspace(0.15, math.pi - 0.15, 20)
 INTERIOR_GS = np.linspace(0.1, 3.0, 20)
@@ -158,6 +160,24 @@ class TestEigenvectorComponents:
             for g in INTERIOR_GS[::4]:
                 for j in (1, 2, 3, 4):
                     assert eigenvector_components(j, float(theta), float(g))[4] > 0.0
+
+
+class TestCancellationFree:
+    @given(THETAS, COUPLINGS)
+    @with_reproducers()
+    def test_eigen_residual(self, theta, g):
+        h = hamiltonian(theta, 0.4, g)
+        for j in (1, 2, 3, 4):
+            v = eigenstate(j, theta, g, 0.4)
+            hv = h @ v
+            assert np.linalg.norm(hv - np.vdot(v, hv) * v) <= 1e-13 * max(1.0, g)
+
+    @given(THETAS, COUPLINGS)
+    @with_reproducers()
+    def test_energies_match_dense_solver(self, theta, g):
+        dense = np.linalg.eigvalsh(hamiltonian(theta, 0.0, g))
+        closed = np.sort(eigenvalues(theta, g))
+        assert np.abs(closed - dense).max() <= 1e-13 * max(1.0, g)
 
 
 class TestEigenstate:

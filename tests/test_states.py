@@ -8,13 +8,11 @@ from spinphase import (
     bloch,
     concurrence_equator,
     depolarize,
-    depolarize_reduced,
     eigenstate,
     pure_density,
     reduce_state,
-    validate_density,
 )
-from oracles import partial_trace_standard
+from oracles import partial_trace_standard, validate_density
 
 GRID_THETAS = np.linspace(0.2, math.pi - 0.2, 15)
 GRID_GS = np.linspace(0.1, 3.0, 15)
@@ -112,8 +110,8 @@ class TestReduceState:
 class TestDepolarizeReduced:
     def test_identity_and_full_mixing(self):
         qs = reduce_state(2, 0.9, 1.3, "B")
-        assert depolarize_reduced(qs, 0.0) == qs
-        mixed = depolarize_reduced(qs, 1.0)
+        assert reduce_state(2, 0.9, 1.3, "B", 0.0) == qs
+        mixed = reduce_state(2, 0.9, 1.3, "B", 1.0)
         assert mixed.a == pytest.approx(0.5) and mixed.c == pytest.approx(0.0)
         assert mixed.p1 == pytest.approx(0.5) and mixed.p2 == pytest.approx(0.5)
 
@@ -121,7 +119,7 @@ class TestDepolarizeReduced:
         q, phi = 0.3, 0.7
         for j in (1, 2):
             for s in "AB":
-                qs_then = depolarize_reduced(reduce_state(j, 0.9, 1.3, s), q)
+                qs_then = reduce_state(j, 0.9, 1.3, s, q)
                 rho_d = depolarize(pure_density(j, 0.9, 1.3, phi), q)
                 pt = partial_trace_standard(rho_d, s)
                 if s == "B":
@@ -131,7 +129,7 @@ class TestDepolarizeReduced:
     def test_eigenvalue_shift(self):
         qs = reduce_state(2, 0.9, 1.3, "A")
         q = 0.2
-        qd = depolarize_reduced(qs, q)
+        qd = reduce_state(2, 0.9, 1.3, "A", q)
         assert qd.p1 == pytest.approx(q / 2 + (1 - q) * qs.p1, abs=1e-14)
         assert qd.beta1 == pytest.approx(qs.beta1, abs=1e-12)
 
@@ -140,11 +138,16 @@ class TestDepolarizeReduced:
             for g in GRID_GS[::3]:
                 for q in (0.1, 0.4, 0.8):
                     qs = reduce_state(2, float(theta), float(g), "A")
-                    qd = depolarize_reduced(qs, q)
+                    qd = reduce_state(2, float(theta), float(g), "A", q)
                     det = qs.a * (1 - qs.a) - qs.c**2
                     det_d = qd.a * (1 - qd.a) - qd.c**2
                     expected = (q / 2) * (1 - q / 2) + (1 - q) ** 2 * det
                     assert det_d == pytest.approx(expected, abs=1e-12)
+
+    def test_rejects_bad_q(self):
+        for q in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="^q must"):
+                reduce_state(2, 0.9, 1.3, "A", q)
 
 
 class TestBloch:
@@ -165,7 +168,7 @@ class TestBloch:
     def test_depolarization_shrinks_linearly(self):
         qs = reduce_state(2, 0.8, 1.7, "B")
         _, r = bloch(qs, 0.0)
-        _, rd = bloch(depolarize_reduced(qs, 0.5), 0.0)
+        _, rd = bloch(reduce_state(2, 0.8, 1.7, "B", 0.5), 0.0)
         assert rd == pytest.approx(0.5 * r, abs=1e-14)
 
     def test_vector_matches_state(self):

@@ -109,9 +109,8 @@ class TestWindingNumber:
     def test_matches_sampled_curve(self, g, q, subsystem, j):
         assume(not _near_transition(g, q, 1e-3))
         # The sampled curve misses the polar layer of subsystem B, of width ~g:
-        # below 1e-6 from the poles it is not sampled, and for j = 3, 4 the
-        # closed-form eigenvectors lose accuracy below ~1e-3.
-        assume(subsystem == "A" or g > (1e-3 if j >= 3 else 1e-5))
+        # below 1e-6 from the poles it is not sampled.
+        assume(subsystem == "A" or g > 1e-5)
         closed = winding_number(g, q, subsystem, j).winding
         assert closed == sampled_winding(phase_curve(g, q, subsystem, j))
 
