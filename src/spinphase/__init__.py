@@ -10,7 +10,6 @@ from .closed_form import (
     PhaseValue,
     berry_composite,
     berry_qubit_levels,
-    interferometric,
     interferometric_subsystem,
     mean_berry,
     uhlmann_equator,

@@ -1,7 +1,8 @@
 """Analytic geometric-phase formulas: Berry, Uhlmann and interferometric.
 
-Level Berry phases enter the Uhlmann formula unwrapped; only final outputs
-are reduced to the principal branch (-pi, pi].
+Every subsystem phase is a direct expression in the two numbers (a, c) of the
+reduced state; only final outputs are reduced to the principal branch
+(-pi, pi].
 """
 
 from __future__ import annotations
@@ -53,18 +54,16 @@ def berry_composite(j: int, theta: float, g: float) -> PhaseValue:
 
 
 def berry_qubit_levels(qs: QubitState) -> tuple[float, float]:
-    """Berry phases 2 pi beta^2 / N of the two subsystem levels, in [0, 2 pi)."""
+    """Berry phases pi (1 -+ x) of the two subsystem levels, x = (2a - 1)/|n|."""
     if qs.trivial:
         raise ValueError("level Berry phases undefined for a diagonal reduced state")
-    g1 = _TWO_PI * qs.beta1 * qs.beta1 / qs.n1
-    g2 = _TWO_PI * qs.beta2 * qs.beta2 / qs.n2
-    return (g1, g2)
+    x = (2.0 * qs.a - 1.0) / qs.bloch_length
+    return (math.pi * (1.0 - x), math.pi * (1.0 + x))
 
 
 def mean_berry(qs: QubitState) -> float:
-    """Probability-weighted level Berry phase sum, kept unwrapped."""
-    g1, g2 = berry_qubit_levels(qs)
-    return qs.p1 * g1 + qs.p2 * g2
+    """Probability-weighted level Berry phase sum p1 gamma1 + p2 gamma2 = 2 pi a."""
+    return _TWO_PI * qs.a
 
 
 def _phase_from_parts(re: float, im: float) -> PhaseValue:
@@ -80,28 +79,23 @@ def _phase_from_parts(re: float, im: float) -> PhaseValue:
     return PhaseValue(value)
 
 
-def _two_z(qs: QubitState) -> tuple[float, float] | None:
-    """Real and imaginary parts of 2 z for a reduced state, None when it is trivial.
+def _two_z(qs: QubitState) -> tuple[float, float]:
+    """Real and imaginary parts of 2 z for a reduced state.
 
-    With Bloch length |n| = p2 - p1 and level Berry phases g1 + g2 = 2 pi,
-    2 z = cos(pi r) + i |n| (g2 - g1)/2 sin(pi r)/(pi r) and
-    r^2 = 1 - g1 g2 |n|^2 / pi^2; depolarization acts only through the state.
+    The level phases pi (1 -+ x) and the Bloch length |n| enter the Uhlmann
+    formula as g1 g2 |n|^2 / pi^2 = 4 c^2 and |n| (g2 - g1)/2 = pi (2a - 1), so
+    2 z = cos(pi r) + i pi (2a - 1) sin(pi r)/(pi r) with r^2 = 1 - 4 c^2;
+    depolarization acts only through the state.  At c = 0, -2 z = 1.
     """
-    if qs.trivial:
-        return None
-    g1, g2 = berry_qubit_levels(qs)
-    n = qs.p2 - qs.p1
-    r = math.sqrt(max(1.0 - g1 * g2 * n * n / math.pi**2, 0.0))
+    r = math.sqrt(max(1.0 - 4.0 * qs.c * qs.c, 0.0))
     # np.sinc(r) = sin(pi r)/(pi r), series-safe at r -> 0.
-    return math.cos(math.pi * r), n * (g2 - g1) / 2.0 * float(np.sinc(r))
+    return math.cos(math.pi * r), math.pi * (2.0 * qs.a - 1.0) * float(np.sinc(r))
 
 
 def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
     """Exact subsystem Uhlmann phase Arg{-2 z}, depolarized or pure (q = 0)."""
-    two_z = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
-    if two_z is None:
-        return PhaseValue(0.0, trivial=True)
-    return _phase_from_parts(-two_z[0], -two_z[1])
+    re, im = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
+    return _phase_from_parts(-re, -im)
 
 
 def equator_r(c: float, q: float) -> float:
@@ -120,20 +114,19 @@ def uhlmann_equator(concurrence: float, q: float = 0.0) -> PhaseValue:
     return PhaseValue(math.pi if x < 0.0 else 0.0)
 
 
-def interferometric(probs: tuple[float, float], levels: tuple[float, float]) -> PhaseValue:
-    """Mixed-state interferometric phase Arg{sum_l p_l e^{i gamma_l}}."""
-    p1, p2 = probs
-    if abs(p1 + p2 - 1.0) > 1e-10:
-        raise ValueError("probabilities must sum to 1")
-    z = p1 * np.exp(1j * levels[0]) + p2 * np.exp(1j * levels[1])
-    if abs(z) < 1e-12:
-        raise DegeneratePhaseError("weighted phase factors cancel")
-    return _phase_from_parts(float(z.real), float(z.imag))
-
-
 def interferometric_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:
-    """Interferometric phase of a subsystem, weighted by the depolarized populations."""
+    """Interferometric phase Arg{p1 e^{i g1} + p2 e^{i g2}} of a subsystem.
+
+    With the level phases pi (1 -+ x) the sum is -cos(pi x) - i |n| sin(pi x),
+    and x does not depend on q.  A reduced state without coherence (|c| below
+    C_TRIVIAL, as at q = 1) has no level phases; its phase is defined as 0.
+    """
     qs = reduce_state(params.j, params.theta, params.g, subsystem, params.q)
     if qs.trivial:
         return PhaseValue(0.0, trivial=True)
-    return interferometric((qs.p1, qs.p2), berry_qubit_levels(qs))
+    n = qs.bloch_length
+    pi_x = math.pi * (2.0 * qs.a - 1.0) / n
+    re, im = -math.cos(pi_x), -n * math.sin(pi_x)
+    if math.hypot(re, im) < 1e-12:
+        raise DegeneratePhaseError("weighted phase factors cancel")
+    return _phase_from_parts(re, im)

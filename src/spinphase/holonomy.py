@@ -85,19 +85,20 @@ def composite_sampler(params: ModelParams) -> Sampler:
 
 
 def reduced_sampler(qs: QubitState) -> Sampler:
-    """Reduced-state Uhlmann connection -2i dp (n_delta . sigma), for arrays of phi."""
-    if qs.trivial:
-        return lambda phis: np.zeros((len(phis), 2, 2), dtype=complex)
-    dp = (math.sqrt(qs.p2) - math.sqrt(qs.p1)) ** 2 / (qs.n1 * qs.n2)
-    delta = qs.delta
+    """Reduced-state Uhlmann connection, for arrays of phi.
+
+    A(phi) = -i k [c^2 sigma_z - c (a - 1/2)(cos phi sigma_x + sin phi sigma_y)]
+    with k = 2 / (1 + 2 sqrt(det rho)); it vanishes with c.
+    """
+    k = 2.0 / (1.0 + 2.0 * math.sqrt(max(qs.a * (1.0 - qs.a) - qs.c * qs.c, 0.0)))
+    diag = -1j * k * qs.c * qs.c * PAULI[2]
+    off = 1j * k * qs.c * (qs.a - 0.5)
 
     def sample(phis: np.ndarray) -> np.ndarray:
-        n_dot_sigma = (
-            -delta * np.cos(phis)[:, None, None] * PAULI[0][None]
-            - delta * np.sin(phis)[:, None, None] * PAULI[1][None]
-            + PAULI[2][None]
+        return diag[None] + off * (
+            np.cos(phis)[:, None, None] * PAULI[0][None]
+            + np.sin(phis)[:, None, None] * PAULI[1][None]
         )
-        return -2j * dp * n_dot_sigma
 
     return sample
 

@@ -137,9 +137,11 @@ def eigenvector_components(
     st, ct, big_r, e1, e3 = _spectrum(theta, g)
     e = (e1, -e1, e3, -e3)[j - 1]
     if g <= G_LIMIT:
-        # Separable limit: components of the g -> 0+ eigenstates.
+        # Separable limit: components of the g -> 0+ eigenstates, where
+        # E^2 - cos^2 theta = sin^2 theta turns E - cos(theta) into a quotient
+        # wherever E and cos(theta) share a sign.
         sign = 1.0 if j in (1, 2) else -1.0
-        u1, u3 = st, e - ct
+        u1, u3 = st, st * st / (e + ct) if e * ct > 0.0 else e - ct
         u2, u4 = sign * u1, sign * u3
     else:
         if st <= SIN_THETA_LIMIT:

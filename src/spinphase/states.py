@@ -9,8 +9,8 @@ import numpy as np
 
 from .spin_model import check_param, eigenstate, eigenvector_components
 
-# Coherences below this magnitude are treated as zero and routed to the
-# trivial-holonomy path.
+# Coherences below this magnitude count as zero: the level Berry phases are
+# then undefined and the interferometric phase is defined as 0.
 C_TRIVIAL = 1e-14
 
 
@@ -29,55 +29,38 @@ def depolarize(rho: np.ndarray, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Reduced 2x2 state in the (a, c) parametrization, with its eigensystem.
+    """Reduced 2x2 state in the (a, c) parametrization.
 
-    The off-diagonal entry at loop angle phi is c e^{-i phi}; a, c are real and
-    independent of phi.  p1 <= p2 are the eigenvalues, beta/eignorm the
-    eigenvector data, delta = (2a - 1)/(2c) (None when c = 0).
+    The diagonal is (a, 1 - a) and the off-diagonal entry at loop angle phi is
+    c e^{-i phi}; a, c are real and independent of phi.  Every subsystem
+    quantity is a direct expression in them, through the Bloch length
+    |n| = sqrt((1 - 2a)^2 + 4c^2) and the eigenvalues p1 <= p2.
     """
 
     a: float
     c: float
-    subsystem: str
-    p1: float
-    p2: float
-    beta1: float
-    beta2: float
-    n1: float
-    n2: float
-    delta: float | None
 
-    @classmethod
-    def from_coefficients(cls, a: float, c: float, subsystem: str) -> "QubitState":
-        if subsystem not in ("A", "B"):
-            raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-        if not (math.isfinite(a) and math.isfinite(c)):
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.c)):
             raise ValueError("coefficients must be finite")
-        s = math.sqrt((1.0 - 2.0 * a) ** 2 + 4.0 * c * c)
-        p1, p2 = (1.0 - s) / 2.0, (1.0 + s) / 2.0
-        if abs(c) < C_TRIVIAL:
-            beta1 = beta2 = 0.0
-            n1 = n2 = 1.0
-            delta = None
-        else:
-            # p1 - a and p2 - a are (x -+ s)/2 with x = 1 - 2a; the one whose
-            # terms share the sign of x cannot cancel, and their product is
-            # -c^2, so the other follows without a cancelling subtraction.
-            if a <= 0.5:
-                beta2 = c / (p2 - a)
-                beta1 = -(p2 - a) / c
-            else:
-                beta1 = c / (p1 - a)
-                beta2 = -(p1 - a) / c
-            n1 = beta1 * beta1 + 1.0
-            n2 = beta2 * beta2 + 1.0
-            delta = (2.0 * a - 1.0) / (2.0 * c)
-        return cls(a, c, subsystem, p1, p2, beta1, beta2, n1, n2, delta)
+
+    @property
+    def bloch_length(self) -> float:
+        """|n| = p2 - p1."""
+        return math.sqrt((1.0 - 2.0 * self.a) ** 2 + 4.0 * self.c * self.c)
+
+    @property
+    def p1(self) -> float:
+        return (1.0 - self.bloch_length) / 2.0
+
+    @property
+    def p2(self) -> float:
+        return (1.0 + self.bloch_length) / 2.0
 
     @property
     def trivial(self) -> bool:
-        """True when the coherence vanishes and the holonomy is the identity."""
-        return self.delta is None
+        """True when the coherence vanishes and the level phases are undefined."""
+        return abs(self.c) < C_TRIVIAL
 
     def matrix(self, phi: float) -> np.ndarray:
         """Reconstruct the 2x2 density matrix at loop angle phi."""
@@ -103,17 +86,14 @@ def reduce_state(j: int, theta: float, g: float, subsystem: str, q: float = 0.0)
         c = (u1 * u2 + u3 * u4) / norm
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return QubitState.from_coefficients(q / 2.0 + (1.0 - q) * a, (1.0 - q) * c, subsystem)
+    return QubitState(q / 2.0 + (1.0 - q) * a, (1.0 - q) * c)
 
 
 def bloch(qs: QubitState, phi: float) -> tuple[np.ndarray, float]:
-    """Bloch vector of the reduced state at phi and its norm.
+    """Bloch vector (2c cos phi, -2c sin phi, 2a - 1) of the reduced state and its norm.
 
     The norm equals p2 - p1; its square is (1-q)^2 [1 - C^2] in terms of the
     pure-state concurrence of the composite.
     """
-    if qs.delta is None:
-        n = np.array([0.0, 0.0, 2.0 * qs.a - 1.0])
-    else:
-        n = 2.0 * qs.c * np.array([math.cos(phi), -math.sin(phi), qs.delta])
-    return n, float(np.linalg.norm(n))
+    n = np.array([2.0 * qs.c * math.cos(phi), -2.0 * qs.c * math.sin(phi), 2.0 * qs.a - 1.0])
+    return n, qs.bloch_length

@@ -6,13 +6,14 @@ import numpy as np
 
 from spinphase import (
     ConcurrenceValue,
+    DegeneratePhaseError,
     GridTooCoarseError,
     ModelParams,
     VortexHit,
     reduce_state,
     wrap_angle,
 )
-from spinphase.closed_form import _two_z
+from spinphase.closed_form import _phase_from_parts, _two_z
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
 # tensor order {++, +-, -+, --}.
@@ -107,11 +108,43 @@ def z_point(params, subsystem):
     depolarized reduced state (an extension; the source analysis draws the
     curve for q = 0 only).
     """
-    two_z = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
-    if two_z is None:
-        # Trivial holonomy: phase 0, i.e. Arg{-2z} = 0.
-        return -0.5 + 0.0j
-    return 0.5 * (two_z[0] + 1j * two_z[1])
+    re, im = _two_z(reduce_state(params.j, params.theta, params.g, subsystem, params.q))
+    return 0.5 * (re + 1j * im)
+
+
+def levels_eigh(qs):
+    """Spectrum p1 <= p2 and level Berry phases of a reduced state, from a dense solver.
+
+    rho(phi) = U rho(0) U^dagger with U = diag(e^{-i phi}, 1), so U w is an
+    eigenvector at phi for each eigenvector w at 0; in that single-valued
+    gauge the loop integral of <w| i d_phi w> is 2 pi |w_1|^2.
+    """
+    p, w = np.linalg.eigh(qs.matrix(0.0))
+    return p, 2.0 * np.pi * np.abs(w[0]) ** 2
+
+
+def uhlmann_from_levels(probs, levels):
+    """The subsystem Uhlmann phase Arg{-2 z} from a spectrum and its level Berry phases.
+
+    With |n| = p2 - p1: 2 z = cos(pi r) + i |n| (g2 - g1)/2 sin(pi r)/(pi r)
+    and r^2 = 1 - g1 g2 |n|^2 / pi^2.
+    """
+    n = probs[1] - probs[0]
+    r = math.sqrt(max(1.0 - levels[0] * levels[1] * n * n / math.pi**2, 0.0))
+    re = math.cos(math.pi * r)
+    im = n * (levels[1] - levels[0]) / 2.0 * float(np.sinc(r))
+    return _phase_from_parts(-re, -im)
+
+
+def interferometric(probs, levels):
+    """Mixed-state interferometric phase Arg{sum_l p_l e^{i gamma_l}}."""
+    p1, p2 = probs
+    if abs(p1 + p2 - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    z = p1 * np.exp(1j * levels[0]) + p2 * np.exp(1j * levels[1])
+    if abs(z) < 1e-12:
+        raise DegeneratePhaseError("weighted phase factors cancel")
+    return _phase_from_parts(float(z.real), float(z.imag))
 
 
 def phase_curve(g, q=0.0, subsystem="A", j=2, samples=256, margin=1e-6):

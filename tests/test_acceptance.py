@@ -11,6 +11,7 @@ from spinphase import (
     Q_TRANSITION_MAX,
     ModelParams,
     OutOfTransitionRangeError,
+    SweepSpec,
     berry_composite,
     concurrence_depolarized,
     concurrence_equator,
@@ -22,12 +23,13 @@ from spinphase import (
     phase_map,
     pure_density,
     reduce_state,
+    run_sweep,
     transition_concurrence,
     uhlmann_subsystem,
     winding_number,
     wrap_angle,
 )
-from spinphase.sweeps import SweepSpec, _numeric_phase, cross_validate
+from spinphase.sweeps import _numeric_phase, cross_validate
 
 PI = math.pi
 
@@ -200,3 +202,61 @@ def test_11_strong_coupling_behavior():
         for subsystem in ("A", "B"):
             phi = uhlmann_subsystem(ModelParams(PI / 4, 50.0, 0.0, 2), subsystem).value
             assert abs(phi) < 0.01 * PI
+
+
+def _sweep_vortices(quantity, q, subsystem, j):
+    """Vortex hits of a 24x24 sweep over theta in [0, pi], g in [0, 3].
+
+    Boundary rows (the poles) are skipped; a vortex-flagged sample is a hit.
+    """
+    spec = SweepSpec((0.0, PI, 24), (0.0, 3.0, 24), (q,), j, subsystem, quantity)
+    rows = run_sweep(spec)
+    values = np.array([np.nan if r.value is None else r.value * PI for r in rows])
+    flags = np.array([{"": 0, "boundary": 1}.get(r.flag, 2) for r in rows])
+    shape = (24, 24)
+    return spec, find_vortices(values.reshape(shape), spec.theta_axis(), spec.g_axis(),
+                               flags.reshape(shape))
+
+
+def _phase_gap(g, q, subsystem, j):
+    """max over theta of |Uhlmann - interferometric|, on a grid through the equator."""
+    gap = 0.0
+    for theta in np.linspace(0.01, PI - 0.01, 315):
+        params = ModelParams(float(theta), g, q, j)
+        gap = max(gap, abs(wrap_angle(uhlmann_subsystem(params, subsystem).value
+                                      - interferometric_subsystem(params, subsystem).value)))
+    return gap
+
+
+def test_12_interferometric_phase_has_no_vortex():
+    with _Reporter("12 interferometric phase presents no vortex; Uhlmann phase does"):
+        for q, uhlmann_hits in ((0.0, 1), (0.05, 1), (0.3, 0)):
+            for subsystem in ("A", "B"):
+                for j in (1, 2, 3, 4):
+                    _, hits = _sweep_vortices("interferometric", q, subsystem, j)
+                    assert hits == []
+                    spec, hits = _sweep_vortices("uhlmann_closed", q, subsystem, j)
+                    assert len(hits) == uhlmann_hits
+                    g_step = spec.g_axis()[1] - spec.g_axis()[0]
+                    for hit in hits:
+                        assert hit.theta_cell == pytest.approx(PI / 2)
+                        assert abs(hit.g_cell - critical_coupling(q)) <= g_step / 2
+
+
+def test_13_phases_coincide_for_pure_weakly_entangled_states():
+    with _Reporter("13 Uhlmann and interferometric phases coincide at q=0, weak coupling"):
+        for g in (0.01, 0.05):
+            bound = 2.0 * PI * concurrence_equator(g).value ** 2
+            for subsystem in ("A", "B"):
+                for j in (1, 2, 3, 4):
+                    assert _phase_gap(g, 0.0, subsystem, j) <= bound
+
+
+def test_14_phases_differ_in_the_strong_regime():
+    with _Reporter("14 Uhlmann and interferometric phases differ clearly at strong coupling"):
+        for subsystem in ("A", "B"):
+            for j in (1, 2, 3, 4):
+                for q in (0.0, 0.05):
+                    assert _phase_gap(2.0, q, subsystem, j) >= 0.99 * PI
+                # Depolarization alone already separates them at weak coupling.
+                assert 0.09 * PI <= _phase_gap(0.05, 0.05, subsystem, j) <= 0.11 * PI

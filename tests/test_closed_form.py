@@ -5,16 +5,22 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import berry_quadrature, z_point
+from oracles import (
+    berry_quadrature,
+    interferometric,
+    levels_eigh,
+    uhlmann_from_levels,
+    z_point,
+)
 from spinphase import (
     DegeneratePhaseError,
+    DomainBoundaryError,
     ModelParams,
     PhaseValue,
     berry_composite,
     berry_qubit_levels,
     concurrence_equator,
     eigenstate,
-    interferometric,
     interferometric_subsystem,
     mean_berry,
     reduce_state,
@@ -23,6 +29,7 @@ from spinphase import (
     wrap_angle,
 )
 from spinphase.closed_form import _two_z, equator_r
+from strategies import COUPLINGS, THETAS
 
 PI = math.pi
 
@@ -78,24 +85,20 @@ class TestBerryComposite:
 
 class TestBerryLevels:
     def test_quadrature_oracle(self):
-        # The eigenvectors of the reduced density matrix in the single-valued
-        # gauge are (beta_l e^{-i phi}, 1)/sqrt(N_l); the loop integral of
-        # <w| i d_phi w> then equals 2 pi beta^2 / N directly.
+        # The level vectors of a dense solver at each phi, in the single-valued
+        # gauge with a real second component; the loop integral of
+        # <w| i d_phi w> is the level Berry phase.
         qs = reduce_state(2, 0.9, 1.4, "A")
         g1, g2 = berry_qubit_levels(qs)
 
-        def level_state(beta, phi):
-            n = math.sqrt(1.0 + beta * beta)
-            return np.array([beta * np.exp(-1j * phi), 1.0]) / n
+        def level_state(level, phi):
+            w = np.linalg.eigh(qs.matrix(phi))[1][:, level]
+            return w * abs(w[1]) / w[1]
 
-        o1 = berry_quadrature(lambda p: level_state(qs.beta1, p), points=2000)
-        o2 = berry_quadrature(lambda p: level_state(qs.beta2, p), points=2000)
+        o1 = berry_quadrature(lambda p: level_state(0, p), points=2000)
+        o2 = berry_quadrature(lambda p: level_state(1, p), points=2000)
         assert g1 == pytest.approx(o1, abs=1e-6)
         assert g2 == pytest.approx(o2, abs=1e-6)
-        # Sanity: the gauge states really are eigenvectors of the state.
-        w = level_state(qs.beta1, 0.3)
-        resid = qs.matrix(0.3) @ w - qs.p1 * w
-        assert np.linalg.norm(resid) < 1e-12
 
     def test_sum_rule(self):
         # gbar^A + gbar^B - 2 pi equals the composite Berry phase (unwrapped).
@@ -117,10 +120,42 @@ class TestBerryLevels:
                 berry_qubit_levels(qs)
 
     def test_levels_sum_to_two_pi(self):
-        # beta1 beta2 = -1 forces gamma1 + gamma2 = 2 pi.
+        # gamma_{1,2} = pi (1 -+ x) sum to 2 pi.
         qs = reduce_state(3, 1.3, 2.2, "B")
         g1, g2 = berry_qubit_levels(qs)
         assert g1 + g2 == pytest.approx(2.0 * PI, abs=1e-12)
+
+
+def _drawn_state(theta, g, q, j, subsystem):
+    """The reduced state at a drawn point; a point on the boundary is rejected."""
+    try:
+        return reduce_state(j, theta, g, subsystem, q)
+    except DomainBoundaryError:
+        assume(False)
+
+
+class TestDenseSolverRoute:
+    @given(THETAS, COUPLINGS, st.floats(0.0, 1.0), st.integers(1, 4), st.sampled_from("AB"))
+    def test_matches_eigh_route(self, theta, g, q, j, subsystem):
+        # Levels, spectrum and both subsystem phases as the paper builds them
+        # from the reduced state's eigensystem, here from np.linalg.eigh.
+        qs = _drawn_state(theta, g, q, j, subsystem)
+        assume(not qs.trivial and qs.bloch_length >= 1e-6)
+        probs, levels = levels_eigh(qs)
+        assert probs == pytest.approx([qs.p1, qs.p2], abs=1e-14)
+        assert mean_berry(qs) == 2.0 * PI * qs.a
+        assert probs @ levels == pytest.approx(mean_berry(qs), abs=1e-14)
+        # eigh's level vectors carry an error of ~1e-16 / |n|.
+        tol = max(1e-11, 1e-15 / qs.bloch_length)
+        assert np.abs(levels - berry_qubit_levels(qs)).max() <= tol
+        params = ModelParams(theta, g, q, j)
+        for closed, oracle in ((uhlmann_subsystem, uhlmann_from_levels),
+                               (interferometric_subsystem, interferometric)):
+            try:
+                expected = oracle(probs, levels).value
+            except DegeneratePhaseError:
+                continue
+            assert abs(wrap_angle(closed(params, subsystem).value - expected)) <= 1e-11
 
 
 class TestUhlmannEquator:
@@ -214,6 +249,7 @@ class TestMirrorAndEquator:
 
 
 class TestInterferometric:
+    # interferometric(probs, levels) is the oracle in tests/oracles.py.
     def test_pure_weight_recovers_level_phase(self):
         val = interferometric((1.0, 0.0), (0.7, 2.0))
         assert val.value == pytest.approx(0.7, abs=1e-14)
@@ -236,3 +272,32 @@ class TestInterferometric:
         assert interferometric_subsystem(p, "A").value == pytest.approx(
             math.atan2(z.imag, z.real), abs=1e-14
         )
+
+    @given(THETAS, COUPLINGS, st.floats(0.0, 1.0), st.integers(1, 4), st.sampled_from("AB"))
+    def test_weighted_sum_never_vanishes_with_the_state(self, theta, g, q, j, subsystem):
+        # |p1 e^{i g1} + p2 e^{i g2}|^2 = cos^2(pi x) + |n|^2 sin^2(pi x) >= |n|^2:
+        # the sum only vanishes with the Bloch vector, so the interferometric
+        # phase has no vortex inside the (theta, g) plane.
+        qs = _drawn_state(theta, g, q, j, subsystem)
+        assume(not qs.trivial)
+        g1, g2 = berry_qubit_levels(qs)
+        n = qs.bloch_length
+        x = (2.0 * qs.a - 1.0) / n
+        weighted = abs(qs.p1 * np.exp(1j * g1) + qs.p2 * np.exp(1j * g2)) ** 2
+        identity = math.cos(PI * x) ** 2 + n * n * math.sin(PI * x) ** 2
+        assert weighted == pytest.approx(identity, abs=1e-14)
+        assert identity >= n * n * (1.0 - 1e-15)
+
+    def test_full_depolarization_limit(self):
+        # a - 1/2 and c both scale by 1 - q, so x = (2a - 1)/|n| does not
+        # depend on q and the phase tends to Arg(-cos pi x) of the pure state.
+        # At q = 1 the state has no coherence and the phase is defined as 0.
+        theta, g, j, subsystem = 1.2, 0.4, 1, "B"
+        full = interferometric_subsystem(ModelParams(theta, g, 1.0, j), subsystem)
+        assert full.value == 0.0 and full.trivial
+        qs = reduce_state(j, theta, g, subsystem)
+        x = (2.0 * qs.a - 1.0) / qs.bloch_length
+        assert abs(math.cos(PI * x)) > 0.1
+        limit = PI if math.cos(PI * x) > 0.0 else 0.0
+        near = interferometric_subsystem(ModelParams(theta, g, 1.0 - 1e-9, j), subsystem)
+        assert abs(wrap_angle(near.value - limit)) < 1e-8

@@ -37,7 +37,7 @@ CASES = {
     "sweep-berry": (
         ["sweep", "--quantity", "berry", "--subsystem", "composite", "--j", "3",
          *CLOSED_GRID],
-        "ff77f4608d26c5fc7475b216e4208c4c834576e1e38778881e520d774eae7b38",
+        "a44aae286c3aa1be266587d3cd4fca29785eef92ea48392d0bbc72440859ce7e",
     ),
     "sweep-interferometric": (
         ["sweep", "--quantity", "interferometric", "--subsystem", "B", "--q", "0", "0.3",
@@ -96,7 +96,7 @@ CASES = {
     ),
     "validate": (
         ["validate", "--grid", "2x2", "--steps", "512", "--q", "0", "0.1"],
-        "6ad49ecc9ac9c992e90350171a1dbe11ce089ece4ff2497540b61e72ea199f19",
+        "c482c77939d237b8aa7da2528895a467725b30f85f084fc52836703b78cdcf3f",
     ),
 }
 

@@ -114,13 +114,13 @@ class TestReducedConnection:
     def test_trivial_state_gives_zero(self):
         from spinphase import QubitState
 
-        qs = QubitState.from_coefficients(0.3, 0.0, "A")
+        qs = QubitState(0.3, 0.0)
         assert np.allclose(at(reduced_sampler(qs), 1.0), 0.0)
 
 
 class TestIntegration:
     def test_equator_matrix_exponential_oracle(self):
-        # On the equator delta = 0, so the reduced connection is constant and
+        # On the equator a = 1/2, so the reduced connection is constant and
         # the loop holonomy is exactly exp(2 pi A).
         qs = reduce_state(2, PI / 2, 1.4, "A")
         a = at(reduced_sampler(qs), 0.0)

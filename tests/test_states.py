@@ -98,9 +98,10 @@ class TestReduceState:
         phi = 0.45
         qs = reduce_state(2, 0.9, 1.3, "A")
         m = qs.matrix(phi)
-        for p, beta, norm in ((qs.p1, qs.beta1, qs.n1), (qs.p2, qs.beta2, qs.n2)):
-            vec = np.array([beta * np.exp(-1j * phi), 1.0]) / math.sqrt(norm)
-            assert np.linalg.norm(m @ vec - p * vec) < 1e-12
+        w, v = np.linalg.eigh(m)
+        assert w == pytest.approx([qs.p1, qs.p2], abs=1e-14)
+        assert qs.bloch_length == pytest.approx(w[1] - w[0], abs=1e-14)
+        assert np.abs((v * [qs.p1, qs.p2]) @ v.conj().T - m).max() < 1e-14
         assert qs.p1 + qs.p2 == pytest.approx(1.0, abs=1e-14)
         det = qs.a * (1 - qs.a) - qs.c**2
         assert qs.p1 * qs.p2 == pytest.approx(det, abs=1e-14)
@@ -131,7 +132,10 @@ class TestDepolarizeReduced:
         q = 0.2
         qd = reduce_state(2, 0.9, 1.3, "A", q)
         assert qd.p1 == pytest.approx(q / 2 + (1 - q) * qs.p1, abs=1e-14)
-        assert qd.beta1 == pytest.approx(qs.beta1, abs=1e-12)
+        # The channel shifts the spectrum and leaves the level vectors as they are.
+        _, v = np.linalg.eigh(qs.matrix(0.3))
+        _, vd = np.linalg.eigh(qd.matrix(0.3))
+        assert np.abs(np.abs(v.conj().T @ vd) - np.eye(2)).max() < 1e-12
 
     def test_det_identity(self):
         for theta in GRID_THETAS[::3]:
@@ -152,9 +156,14 @@ class TestDepolarizeReduced:
 
 class TestBloch:
     def test_maximally_mixed_radius_zero(self):
-        qs = QubitState.from_coefficients(0.5, 0.0, "A")
+        qs = QubitState(0.5, 0.0)
         _, r = bloch(qs, 0.0)
         assert r == 0.0
+
+    def test_rejects_non_finite_coefficients(self):
+        for a, c in ((float("nan"), 0.1), (0.5, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                QubitState(a, c)
 
     def test_radius_squared_is_one_minus_concurrence_squared(self):
         # The squared Bloch norm of either reduced state of a pure two-qubit
