@@ -37,6 +37,7 @@ from .errors import (
 )
 from .holonomy import (
     Holonomy,
+    composite_generator,
     composite_sampler,
     converged_phase,
     depolarized_spectrum,

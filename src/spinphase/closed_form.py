@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegeneratePhaseError
 from .spin_model import ModelParams, check_param, eigenvector_components
 from .states import QubitState, reduce_state
@@ -88,8 +86,10 @@ def _two_z(qs: QubitState) -> tuple[float, float]:
     depolarization acts only through the state.  At c = 0, -2 z = 1.
     """
     r = math.sqrt(max(1.0 - 4.0 * qs.c * qs.c, 0.0))
-    # np.sinc(r) = sin(pi r)/(pi r), series-safe at r -> 0.
-    return math.cos(math.pi * r), math.pi * (2.0 * qs.a - 1.0) * float(np.sinc(r))
+    # sinc(r) = sin(pi r)/(pi r), with r = 1e-20 standing in for r = 0 as in
+    # np.sinc, which gives the same bits at ~20x the cost on a float.
+    y = math.pi * (r or 1e-20)
+    return math.cos(math.pi * r), math.pi * (2.0 * qs.a - 1.0) * (math.sin(y) / y)
 
 
 def uhlmann_subsystem(params: ModelParams, subsystem: str) -> PhaseValue:

@@ -1,17 +1,24 @@
-"""Numerical Uhlmann holonomy: connection samples and path-ordered evolution.
+"""Numerical Uhlmann holonomy of a batch of loops: connection samples and
+path-ordered evolution.
 
 The connection generally does not commute with itself along the loop, so the
 evolution operator is integrated with a fixed-step classical 4th-order scheme;
-a step-doubling pass controls convergence of the final phase.  No
+a step-doubling pass controls convergence of each point's phase.  No
 exponential-of-integral shortcut is used outside the phi-independent equator
 case, where the dense matrix exponential doubles as an oracle in the tests.
+
+The unit of work is a batch of P points.  Each RK4 step advances a (P, d, d)
+stack of evolution operators with stacked matrix products, operation for
+operation as one point at a time, so every point gets the same bits.  The
+connection is sampled CHUNK_STEPS steps at a time: memory grows with P, not
+with the step count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +31,25 @@ from .states import QubitState
 
 DEFAULT_STEPS = 2000
 PHASE_TOL = 1e-8
+# Steps integrated from one array of connection samples: at most
+# 2 CHUNK_STEPS + 1 samples of P d x d matrices exist at once.
+CHUNK_STEPS = 256
 
+# Maps n loop angles to the (n, P, d, d) connections of a batch of P points.
 Sampler = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Holonomy:
-    """Evolution operator around the loop with integration diagnostics."""
+    """Evolution operators of a batch of loops with integration diagnostics.
+
+    V has shape (P, d, d) and unitarity_defect shape (P,); steps is the step
+    count of the integration.
+    """
 
     V: np.ndarray
     steps: int
-    unitarity_defect: float
+    unitarity_defect: np.ndarray
 
 
 def depolarized_spectrum(j: int, q: float) -> np.ndarray:
@@ -44,8 +59,14 @@ def depolarized_spectrum(j: int, q: float) -> np.ndarray:
     return p
 
 
-def _composite_generator(params: ModelParams) -> np.ndarray:
-    """Connection of the depolarized composite state at phi = 0."""
+def composite_generator(params: ModelParams) -> np.ndarray:
+    """Connection of one depolarized composite state at phi = 0.
+
+    Built from the closed-form eigenbasis: W (i M) W^dagger with M the real
+    symmetric overlap-derivative matrix and weights
+    (sqrt(p_k) - sqrt(p_i))^2 / (p_k + p_i).  Raises DomainBoundaryError where
+    an eigenvector has no closed form.
+    """
     spectrum = [eigenvector_components(j, params.theta, params.g) for j in (1, 2, 3, 4)]
     u = np.array([c[:4] for c in spectrum])
     norms = np.array([c[4] for c in spectrum])
@@ -68,62 +89,75 @@ def _composite_generator(params: ModelParams) -> np.ndarray:
 _CHI = np.array([-1.0, 0.0, 0.0, 1.0])
 
 
-def composite_sampler(params: ModelParams) -> Sampler:
-    """Uhlmann connection A(phi) of the depolarized composite state, for arrays of phi.
+def composite_sampler(generators: Sequence[np.ndarray]) -> Sampler:
+    """Uhlmann connections A(phi) of a batch of depolarized composite states.
 
-    Built from the closed-form eigenbasis: the generator is
-    W (i M) W^dagger with M the real symmetric overlap-derivative matrix and
-    weights (sqrt(p_k) - sqrt(p_i))^2 / (p_k + p_i).
+    generators holds one composite_generator per point; the connection at phi
+    is A(0) with entry (i, k) turned by e^{i (chi_i - chi_k) phi}.
     """
-    a0 = _composite_generator(params)
+    a0 = np.stack(generators)
     winding = np.subtract.outer(_CHI, _CHI)
 
     def sample(phis: np.ndarray) -> np.ndarray:
-        return a0[None] * np.exp(1j * winding[None] * phis[:, None, None])
+        turn = np.exp(1j * winding[None] * phis[:, None, None])
+        return a0[None] * turn[:, None]
 
     return sample
 
 
-def reduced_sampler(qs: QubitState) -> Sampler:
-    """Reduced-state Uhlmann connection, for arrays of phi.
+def reduced_sampler(states: Sequence[QubitState]) -> Sampler:
+    """Reduced-state Uhlmann connections of a batch of qubit states.
 
     A(phi) = -i k [c^2 sigma_z - c (a - 1/2)(cos phi sigma_x + sin phi sigma_y)]
     with k = 2 / (1 + 2 sqrt(det rho)); it vanishes with c.
     """
-    k = 2.0 / (1.0 + 2.0 * math.sqrt(max(qs.a * (1.0 - qs.a) - qs.c * qs.c, 0.0)))
-    diag = -1j * k * qs.c * qs.c * PAULI[2]
-    off = 1j * k * qs.c * (qs.a - 0.5)
+    diag, off = [], []
+    for qs in states:
+        k = 2.0 / (1.0 + 2.0 * math.sqrt(max(qs.a * (1.0 - qs.a) - qs.c * qs.c, 0.0)))
+        diag.append(-1j * k * qs.c * qs.c * PAULI[2])
+        off.append(1j * k * qs.c * (qs.a - 0.5))
+    diag = np.stack(diag)[None]
+    off = np.array(off)[None, :, None, None]
 
     def sample(phis: np.ndarray) -> np.ndarray:
-        return diag[None] + off * (
-            np.cos(phis)[:, None, None] * PAULI[0][None]
-            + np.sin(phis)[:, None, None] * PAULI[1][None]
-        )
+        turn = (np.cos(phis)[:, None, None] * PAULI[0][None]
+                + np.sin(phis)[:, None, None] * PAULI[1][None])
+        return diag + off * turn[:, None]
 
     return sample
 
 
-def _integrate_samples(samples: np.ndarray, h: float) -> np.ndarray:
-    """RK4 over precomputed connection samples on the half-step grid."""
-    dim = samples.shape[-1]
-    v = np.eye(dim, dtype=complex)
-    steps = (samples.shape[0] - 1) // 2
-    for n in range(steps):
-        a0 = samples[2 * n]
-        a1 = samples[2 * n + 1]
-        a2 = samples[2 * n + 2]
-        k1 = a0 @ v
-        k2 = a1 @ (v + 0.5 * h * k1)
-        k3 = a1 @ (v + 0.5 * h * k2)
-        k4 = a2 @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+def _rk4(samples: np.ndarray, h: float, v: np.ndarray) -> None:
+    """RK4 steps of a (P, d, d) stack over connection samples on the half-step grid.
+
+    Each step is v + (h/6)(k1 + 2 k2 + 2 k3 + k4) with k1 = A0 v,
+    k2 = A1 (v + (h/2) k1), k3 = A1 (v + (h/2) k2), k4 = A2 (v + h k3),
+    evaluated in that order into preallocated buffers; v is updated in place.
+    """
+    matmul, multiply, add = np.matmul, np.multiply, np.add
+    half, sixth = 0.5 * h, h / 6.0
+    k1, k4, w = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    # k2 and k3 share one buffer, so that one product doubles both.
+    k23 = np.empty((2,) + v.shape, dtype=v.dtype)
+    k2, k3 = k23
+    even, odd = samples[0::2], samples[1::2]
+    for a0, a1, a2 in zip(even, odd, even[1:]):
+        matmul(a0, v, out=k1)
+        add(v, multiply(half, k1, out=w), out=w)
+        matmul(a1, w, out=k2)
+        add(v, multiply(half, k2, out=w), out=w)
+        matmul(a1, w, out=k3)
+        add(v, multiply(h, k3, out=w), out=w)
+        matmul(a2, w, out=k4)
+        multiply(2.0, k23, out=k23)
+        add(add(add(k1, k2, out=k1), k3, out=k1), k4, out=k1)
+        add(v, multiply(sixth, k1, out=k1), out=v)
 
 
 def integrate_holonomy(
     sampler: Sampler, phi0: float = 0.0, steps: int = DEFAULT_STEPS
 ) -> Holonomy:
-    """Integrate dV/dphi = A(phi) V over one loop with fixed-step RK4.
+    """Integrate dV/dphi = A(phi) V over one loop for each point, fixed-step RK4.
 
     The result is never re-unitarized; the departure from unitarity is
     reported as a diagnostic.
@@ -131,21 +165,25 @@ def integrate_holonomy(
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     h = 2.0 * math.pi / steps
-    phis = phi0 + 0.5 * h * np.arange(2 * steps + 1)
-    samples = sampler(phis)
-    v = _integrate_samples(samples, h)
-    defect = float(np.abs(v.conj().T @ v - np.eye(v.shape[0])).max())
+    v = None
+    for start in range(0, steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, steps)
+        samples = sampler(phi0 + 0.5 * h * np.arange(2 * start, 2 * stop + 1))
+        if v is None:
+            eye = np.eye(samples.shape[-1], dtype=complex)
+            v = np.broadcast_to(eye, samples.shape[1:]).copy()
+        _rk4(samples, h, v)
+    gram = np.swapaxes(v, 1, 2).conj() @ v
+    defect = np.abs(gram - np.eye(v.shape[-1])).max(axis=(1, 2))
     return Holonomy(v, steps, defect)
 
 
-def uhlmann_phase(rho0: np.ndarray, holonomy: Holonomy) -> PhaseValue:
-    """Arg Tr[rho0 V], with the visibility |Tr[rho0 V]| attached."""
+def uhlmann_phase(rho0: np.ndarray, v: np.ndarray) -> PhaseValue:
+    """Arg Tr[rho0 V] of one point, with the visibility |Tr[rho0 V]| attached."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != holonomy.V.shape:
-        raise ValueError(
-            f"dimension mismatch: rho0 {rho0.shape} vs V {holonomy.V.shape}"
-        )
-    tr = complex(np.trace(rho0 @ holonomy.V))
+    if rho0.shape != v.shape:
+        raise ValueError(f"dimension mismatch: rho0 {rho0.shape} vs V {v.shape}")
+    tr = complex(np.trace(rho0 @ v))
     if abs(tr) < 1e-12:
         raise DegeneratePhaseError(
             f"|Tr[rho0 V]| = {abs(tr):.3e}: phase undefined (vortex)"
@@ -159,22 +197,55 @@ def converged_phase(
     phi0: float = 0.0,
     start_steps: int = 512,
     tol: float = PHASE_TOL,
-) -> tuple[PhaseValue, Holonomy]:
-    """Integrate with step doubling until the phase is stable within tol.
+) -> tuple[list[PhaseValue | DegeneratePhaseError | ConvergenceFailureError], Holonomy]:
+    """Integrate a batch with step doubling until each phase is stable within tol.
+
+    rho0 stacks the (P, d, d) initial states of the sampler's points.  Each
+    point runs its own doubling sequence: its outcome is the phase of the first
+    doubling that moves it by less than tol, a DegeneratePhaseError where its
+    trace vanishes, or a ConvergenceFailureError past MAX_STEPS.  A point
+    leaves the batch once it has an outcome.  Returns the outcomes and the
+    holonomy each point ended at; its steps is the count of the last
+    integration.
 
     start_steps must lie in [16, MAX_STEPS // 2], so that at least one
     doubling can confirm the first integration.
     """
     steps = check_param("steps", start_steps)
-    hol = integrate_holonomy(sampler, phi0, steps)
-    phase = uhlmann_phase(rho0, hol)
-    while steps <= MAX_STEPS // 2:
+    rho0 = np.asarray(rho0, dtype=complex)
+    outcomes: list = [None] * len(rho0)
+    phases: list[PhaseValue | None] = [None] * len(rho0)
+    ended = np.empty_like(rho0)
+    defects = np.empty(len(rho0))
+    active = np.arange(len(rho0))
+    batch = sampler
+    while True:
+        hol = integrate_holonomy(batch, phi0, steps)
+        ended[active], defects[active] = hol.V, hol.unitarity_defect
+        pending = []
+        for k, i in enumerate(active):
+            try:
+                phase = uhlmann_phase(rho0[i], hol.V[k])
+            except DegeneratePhaseError as exc:
+                # Stored with its traceback, the error and this frame would
+                # keep each other, and the batch, alive until a cyclic GC.
+                outcomes[i] = exc.with_traceback(None)
+                continue
+            if phases[i] is not None and abs(wrap_angle(phase.value - phases[i].value)) < tol:
+                outcomes[i] = phase
+            else:
+                phases[i] = phase
+                pending.append(k)
+        active = active[pending]
+        if not len(active) or steps > MAX_STEPS // 2:
+            break
         steps *= 2
-        hol_next = integrate_holonomy(sampler, phi0, steps)
-        phase_next = uhlmann_phase(rho0, hol_next)
-        if abs(wrap_angle(phase_next.value - phase.value)) < tol:
-            return phase_next, hol_next
-        hol, phase = hol_next, phase_next
-    raise ConvergenceFailureError(
-        f"phase not stable within {tol:g} up to {MAX_STEPS} steps"
-    )
+
+        def batch(phis, rows=active):
+            return sampler(phis)[:, rows]
+
+    for i in active:
+        outcomes[i] = ConvergenceFailureError(
+            f"phase not stable within {tol:g} up to {MAX_STEPS} steps"
+        )
+    return outcomes, Holonomy(ended, steps, defects)

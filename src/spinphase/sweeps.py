@@ -101,18 +101,55 @@ class SweepRow:
     flag: str = ""
 
 
+# Points integrated as one batch.  With holonomy.CHUNK_STEPS this bounds the
+# connection samples held at once to 513 x 64 matrices, 8.4 MB at d = 4,
+# however large the grid.
+_BATCH_POINTS = 64
+
+
+def _numeric_phases(points: Sequence[ModelParams], subsystem: str, steps: int) -> list:
+    """Numeric Uhlmann phases of points, one RK4 pass per batch.
+
+    The loops start at the first point's phi0.  Each entry is a phase in
+    radians, or the error that flags the point.
+    """
+    outcomes: list = [None] * len(points)
+    rhos, parts, index = [], [], []
+    for i, params in enumerate(points):
+        try:
+            if subsystem == "composite":
+                rho0 = states.depolarize(
+                    states.pure_density(params.j, params.theta, params.g, params.phi0),
+                    params.q,
+                )
+                part = holonomy.composite_generator(params)
+            else:
+                part = states.reduce_state(params.j, params.theta, params.g, subsystem,
+                                           params.q)
+                rho0 = part.matrix(params.phi0)
+        except tuple(_POINT_FLAGS) as exc:
+            # Without its traceback the stored error keeps no frame alive.
+            outcomes[i] = exc.with_traceback(None)
+            continue
+        rhos.append(rho0)
+        parts.append(part)
+        index.append(i)
+    make_sampler = (holonomy.composite_sampler if subsystem == "composite"
+                    else holonomy.reduced_sampler)
+    for lo in range(0, len(index), _BATCH_POINTS):
+        block = slice(lo, lo + _BATCH_POINTS)
+        phases, _ = holonomy.converged_phase(make_sampler(parts[block]), np.stack(rhos[block]),
+                                             points[0].phi0, start_steps=steps)
+        for i, phase in zip(index[block], phases):
+            outcomes[i] = phase if isinstance(phase, Exception) else phase.value
+    return outcomes
+
+
 def _numeric_phase(params: ModelParams, subsystem: str, steps: int) -> float:
-    if subsystem == "composite":
-        rho0 = states.depolarize(
-            states.pure_density(params.j, params.theta, params.g, params.phi0), params.q
-        )
-        sampler = holonomy.composite_sampler(params)
-    else:
-        qs = states.reduce_state(params.j, params.theta, params.g, subsystem, params.q)
-        rho0 = qs.matrix(params.phi0)
-        sampler = holonomy.reduced_sampler(qs)
-    phase, _ = holonomy.converged_phase(sampler, rho0, params.phi0, start_steps=steps)
-    return phase.value
+    (outcome,) = _numeric_phases([params], subsystem, steps)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # Value of one point: a phase in radians, a concurrence or a winding number.
@@ -151,21 +188,29 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     winding = spec.quantity == "winding"
     flags = _WINDING_FLAGS if winding else _POINT_FLAGS
     unit = math.pi if spec.quantity in PHASES else 1.0
-    # SweepSpec has checked the quantity and subsystem that evaluate checks.
-    value_of = _VALUES[spec.quantity]
     thetas = [None] if winding else [float(theta) for theta in spec.theta_axis()]
+    grid = [(q, theta, float(g)) for q in spec.q_list for theta in thetas
+            for g in spec.g_axis()]
+    points = (ModelParams(0.0 if theta is None else theta, g, q, spec.j)
+              for q, theta, g in grid)
+    if spec.quantity == "uhlmann_numeric":
+        outcomes = _numeric_phases(list(points), spec.subsystem, spec.steps)
+    else:
+        # SweepSpec has checked the quantity and subsystem that evaluate checks.
+        value_of = _VALUES[spec.quantity]
+        outcomes = []
+        for params in points:
+            try:
+                outcomes.append(value_of(params, spec.subsystem, spec.steps))
+            except tuple(flags) as exc:
+                outcomes.append(exc.with_traceback(None))
     rows = []
-    for q in spec.q_list:
-        for theta in thetas:
-            for g in spec.g_axis():
-                params = ModelParams(0.0 if theta is None else theta, float(g), q, spec.j)
-                try:
-                    value = value_of(params, spec.subsystem, spec.steps) / unit
-                    flag = ""
-                except tuple(flags) as exc:
-                    value, flag = None, flags[type(exc)]
-                rows.append(SweepRow(theta, float(g), q, spec.j, spec.subsystem,
-                                     spec.quantity, value, flag))
+    for (q, theta, g), outcome in zip(grid, outcomes):
+        if isinstance(outcome, Exception):
+            value, flag = None, flags[type(outcome)]
+        else:
+            value, flag = outcome / unit, ""
+        rows.append(SweepRow(theta, g, q, spec.j, spec.subsystem, spec.quantity, value, flag))
     return rows
 
 
@@ -200,21 +245,30 @@ class ValidationReport:
 
 
 def cross_validate(spec: SweepSpec) -> ValidationReport:
-    """Compare the ODE holonomy phase against the closed form on the grid."""
+    """Compare the ODE holonomy phase against the closed form on the grid.
+
+    The points with a closed-form value are integrated together.
+    """
     report = ValidationReport()
+    points, analytic = [], []
     for q in spec.q_list:
         for theta in spec.theta_axis():
             for g in spec.g_axis():
                 params = ModelParams(float(theta), float(g), q, spec.j)
                 try:
-                    analytic = evaluate("uhlmann_closed", params, spec.subsystem)
-                    numeric = evaluate("uhlmann_numeric", params, spec.subsystem, spec.steps)
+                    analytic.append(evaluate("uhlmann_closed", params, spec.subsystem))
                 except tuple(_POINT_FLAGS):
                     report.flagged += 1
                     continue
-                err = abs(closed_form.wrap_angle(numeric - analytic))
-                report.count += 1
-                report.max_error = max(report.max_error, err)
-                if err > report.warn_tol:
-                    report.exceeding.append((float(theta), float(g), q, err))
+                points.append(params)
+    numeric = _numeric_phases(points, spec.subsystem, spec.steps)
+    for params, closed, value in zip(points, analytic, numeric):
+        if isinstance(value, Exception):
+            report.flagged += 1
+            continue
+        err = abs(closed_form.wrap_angle(value - closed))
+        report.count += 1
+        report.max_error = max(report.max_error, err)
+        if err > report.warn_tol:
+            report.exceeding.append((params.theta, params.g, params.q, err))
     return report

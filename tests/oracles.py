@@ -6,14 +6,19 @@ import numpy as np
 
 from spinphase import (
     ConcurrenceValue,
+    ConvergenceFailureError,
     DegeneratePhaseError,
     GridTooCoarseError,
     ModelParams,
     VortexHit,
+    composite_generator,
     reduce_state,
+    uhlmann_phase,
     wrap_angle,
 )
 from spinphase.closed_form import _phase_from_parts, _two_z
+from spinphase.holonomy import PHASE_TOL
+from spinphase.spin_model import MAX_STEPS, PAULI
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
 # tensor order {++, +-, -+, --}.
@@ -199,3 +204,75 @@ def find_vortices_loop(values, theta_axis, g_axis, flags=None, jump_fraction_lim
             f"{jumpy_links}/{clean_links} links jump by more than pi/2"
         )
     return hits
+
+
+# The numeric holonomy one point at a time, as the library computed it before
+# it integrated batches: samplers of one point, all 2 steps + 1 samples at
+# once, RK4 on 2-D matrices and a doubling loop per point.  The batched kernel
+# must reproduce it bit for bit.
+
+_CHI = np.array([-1.0, 0.0, 0.0, 1.0])
+
+
+def composite_point_sampler(params):
+    """Composite connection A(phi) of one point, for arrays of phi: (n, 4, 4)."""
+    a0 = composite_generator(params)
+    winding = np.subtract.outer(_CHI, _CHI)
+
+    def sample(phis):
+        return a0[None] * np.exp(1j * winding[None] * phis[:, None, None])
+
+    return sample
+
+
+def reduced_point_sampler(qs):
+    """Reduced-state connection A(phi) of one point, for arrays of phi: (n, 2, 2)."""
+    k = 2.0 / (1.0 + 2.0 * math.sqrt(max(qs.a * (1.0 - qs.a) - qs.c * qs.c, 0.0)))
+    diag = -1j * k * qs.c * qs.c * PAULI[2]
+    off = 1j * k * qs.c * (qs.a - 0.5)
+
+    def sample(phis):
+        return diag[None] + off * (
+            np.cos(phis)[:, None, None] * PAULI[0][None]
+            + np.sin(phis)[:, None, None] * PAULI[1][None]
+        )
+
+    return sample
+
+
+def integrate_samples(samples, h):
+    """RK4 over precomputed connection samples on the half-step grid."""
+    dim = samples.shape[-1]
+    v = np.eye(dim, dtype=complex)
+    steps = (samples.shape[0] - 1) // 2
+    for n in range(steps):
+        a0 = samples[2 * n]
+        a1 = samples[2 * n + 1]
+        a2 = samples[2 * n + 2]
+        k1 = a0 @ v
+        k2 = a1 @ (v + 0.5 * h * k1)
+        k3 = a1 @ (v + 0.5 * h * k2)
+        k4 = a2 @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+def integrate_point(sampler, phi0, steps):
+    """Holonomy of one loop with every connection sample held at once."""
+    h = 2.0 * math.pi / steps
+    return integrate_samples(sampler(phi0 + 0.5 * h * np.arange(2 * steps + 1)), h)
+
+
+def converged_point(sampler, rho0, phi0, start_steps, tol=PHASE_TOL, max_steps=MAX_STEPS):
+    """Step doubling of one point: (phase, V, steps), raising where the point is flagged."""
+    steps = start_steps
+    v = integrate_point(sampler, phi0, steps)
+    phase = uhlmann_phase(rho0, v)
+    while steps <= max_steps // 2:
+        steps *= 2
+        v = integrate_point(sampler, phi0, steps)
+        phase_next = uhlmann_phase(rho0, v)
+        if abs(wrap_angle(phase_next.value - phase.value)) < tol:
+            return phase_next, v, steps
+        phase = phase_next
+    raise ConvergenceFailureError(f"phase not stable within {tol:g} up to {max_steps} steps")

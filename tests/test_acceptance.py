@@ -29,7 +29,7 @@ from spinphase import (
     winding_number,
     wrap_angle,
 )
-from spinphase.sweeps import _numeric_phase, cross_validate
+from spinphase.sweeps import _numeric_phases, cross_validate
 
 PI = math.pi
 
@@ -116,11 +116,13 @@ def test_05_numeric_vs_closed_form_grid():
 def test_06_composite_low_q_limit():
     with _Reporter("6 composite phase at q=1e-4 tracks the Berry phase"):
         rng = np.random.default_rng(20240817)
+        points = []
         for _ in range(20):
             theta = float(rng.uniform(0.3, PI - 0.3))
             g = float(rng.uniform(0.1, 3.0))
-            numeric = _numeric_phase(ModelParams(theta, g, 1e-4, 2), "composite", 512)
-            berry = berry_composite(2, theta, g).value
+            points.append(ModelParams(theta, g, 1e-4, 2))
+        for params, numeric in zip(points, _numeric_phases(points, "composite", 512)):
+            berry = berry_composite(2, params.theta, params.g).value
             assert abs(wrap_angle(numeric - berry)) < 1e-3
 
 
