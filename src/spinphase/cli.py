@@ -2,6 +2,9 @@
 
 Phases are printed in units of pi.  Exit codes: 0 success, 1 invalid
 arguments, 2 validation failure, 3 domain error on a single-point query.
+
+Only sweep, validate and the numeric phase build arrays, so only they load
+numpy (through sweeps); the point commands run on the closed forms alone.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import argparse
 import math
 import sys
 
-from . import entanglement, holonomy, sweeps
+from . import entanglement, sweeps
 from .errors import (
     DegeneratePhaseError,
     DomainBoundaryError,
@@ -18,7 +21,9 @@ from .errors import (
     OutOfTransitionRangeError,
     SpinPhaseError,
 )
-from .spin_model import MAX_STEPS, ModelParams, eigenvalues, eigenvector_components
+from .spin_model import (
+    DEFAULT_STEPS, MAX_STEPS, ModelParams, eigenvalues, eigenvector_components,
+)
 from .topology import winding_number
 
 EXIT_OK = 0
@@ -68,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="single-point geometric phase (in units of pi)")
     _add_point_args(p)
     p.add_argument("--quantity", default="uhlmann_closed", choices=sweeps.PHASES)
-    p.add_argument("--steps", type=int, default=holonomy.DEFAULT_STEPS,
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                    help=f"initial integration step count for the numeric phase, "
                         f"16 to {MAX_STEPS // 2}")
 
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-min", type=float, default=0.0)
     p.add_argument("--g-max", type=float, default=2.5)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60), help="T x G point counts")
-    p.add_argument("--steps", type=int, default=holonomy.DEFAULT_STEPS)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("winding", help="winding number of the phase curve")
@@ -106,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float, default=math.pi - 0.3)
     p.add_argument("--g-min", type=float, default=0.2)
     p.add_argument("--g-max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=holonomy.DEFAULT_STEPS)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     return parser
 
 

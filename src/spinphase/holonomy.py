@@ -1,5 +1,10 @@
-"""Numerical Uhlmann holonomy of a batch of loops: connection samples and
-path-ordered evolution.
+"""Numerical Uhlmann holonomy of a batch of loops: dense states, connection
+samples and path-ordered evolution.
+
+This is the library's numpy layer.  The closed forms work on the real
+eigenvector components and the (a, c) numbers of a reduced state; the complex
+eigenvectors, density matrices and Pauli matrices exist only here, for the
+numeric phase.
 
 The connection generally does not commute with itself along the loop, so the
 evolution operator is integrated with a fixed-step classical 4th-order scheme;
@@ -25,11 +30,15 @@ import numpy as np
 from .closed_form import PhaseValue, wrap_angle
 from .errors import ConvergenceFailureError, DegeneratePhaseError
 from .spin_model import (
-    MAX_STEPS, PAULI, ModelParams, check_param, eigenbasis, eigenvector_components,
+    DEFAULT_STEPS, MAX_STEPS, ModelParams, check_param, eigenvector_components,
 )
 from .states import QubitState
 
-DEFAULT_STEPS = 2000
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
 PHASE_TOL = 1e-8
 # Steps integrated from one array of connection samples: at most
 # 2 CHUNK_STEPS + 1 samples of P d x d matrices exist at once.
@@ -50,6 +59,40 @@ class Holonomy:
     V: np.ndarray
     steps: int
     unitarity_defect: np.ndarray
+
+
+def eigenstate(j: int, theta: float, g: float, phi: float) -> np.ndarray:
+    """Normalized eigenstate N^{-1/2} [u1 e^{-i phi}, u2, u3, u4 e^{i phi}]."""
+    phi = check_param("phi", phi)
+    u1, u2, u3, u4, norm = eigenvector_components(j, theta, g)
+    vec = np.array(
+        [u1 * np.exp(-1j * phi), u2, u3, u4 * np.exp(1j * phi)], dtype=complex
+    )
+    return vec / math.sqrt(norm)
+
+
+def eigenbasis(theta: float, g: float, phi: float) -> np.ndarray:
+    """4x4 matrix whose columns are the four eigenstates at phi."""
+    return np.column_stack([eigenstate(j, theta, g, phi) for j in (1, 2, 3, 4)])
+
+
+def pure_density(j: int, theta: float, g: float, phi: float) -> np.ndarray:
+    """Rank-1 projector onto the j-th composite eigenstate."""
+    v = eigenstate(j, theta, g, phi)
+    return np.outer(v, v.conj())
+
+
+def depolarize(rho: np.ndarray, q: float) -> np.ndarray:
+    """Mix rho with the maximally mixed state: (q/4) I + (1-q) rho."""
+    q = check_param("q", q)
+    rho = np.asarray(rho, dtype=complex)
+    return (q / 4.0) * np.eye(4) + (1.0 - q) * rho
+
+
+def qubit_matrix(qs: QubitState, phi: float) -> np.ndarray:
+    """The 2x2 density matrix of a reduced state at loop angle phi."""
+    off = qs.c * np.exp(-1j * phi)
+    return np.array([[qs.a, off], [np.conj(off), 1.0 - qs.a]])
 
 
 def depolarized_spectrum(j: int, q: float) -> np.ndarray:
@@ -200,7 +243,7 @@ def converged_phase(
 ) -> tuple[list[PhaseValue | DegeneratePhaseError | ConvergenceFailureError], Holonomy]:
     """Integrate a batch with step doubling until each phase is stable within tol.
 
-    rho0 stacks the (P, d, d) initial states of the sampler's points.  Each
+    rho0 holds the P initial d x d states of the sampler's points.  Each
     point runs its own doubling sequence: its outcome is the phase of the first
     doubling that moves it by less than tol, a DegeneratePhaseError where its
     trace vanishes, or a ConvergenceFailureError past MAX_STEPS.  A point

@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainBoundaryError
 
 # Below this coupling the closed-form component denominators degenerate and the
@@ -21,17 +19,10 @@ from .errors import DomainBoundaryError
 G_LIMIT = 1e-9
 SIN_THETA_LIMIT = 1e-9
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# Map from the standard tensor order {++, +-, -+, --} to the basis order
-# {+-, ++, --, -+} used throughout.
-_BASIS_PERM = np.array([1, 0, 3, 2])
-
-# Step doubling of the numeric holonomy stops at MAX_STEPS, so a start count
-# above MAX_STEPS // 2 could never be confirmed by a second integration.
+# Step doubling of the numeric holonomy starts at DEFAULT_STEPS and stops at
+# MAX_STEPS, so a start count above MAX_STEPS // 2 could never be confirmed by
+# a second integration.
+DEFAULT_STEPS = 2000
 MAX_STEPS = 2**16
 
 # Admissible values of each checked parameter and how an error words them.
@@ -83,23 +74,6 @@ class ModelParams:
         check_param("q", self.q)
         check_param("phi0", self.phi0)
         check_param("j", self.j)
-
-
-def hamiltonian(theta: float, phi: float, g: float) -> np.ndarray:
-    """Rescaled 4x4 Hamiltonian in the {+-, ++, --, -+} basis.
-
-    Serves as the validation oracle for the closed-form eigen-pairs.
-    """
-    theta, g = check_param("theta", theta), check_param("g", g)
-    phi = check_param("phi", phi)
-    n = (math.sin(theta) * math.cos(phi),
-         math.sin(theta) * math.sin(phi),
-         math.cos(theta))
-    h_spin = sum(nc * s for nc, s in zip(n, PAULI))
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    sm = sp.T.conj()
-    h = np.kron(h_spin, np.eye(2)) + g * (np.kron(sp, sp) + np.kron(sm, sm))
-    return h[np.ix_(_BASIS_PERM, _BASIS_PERM)]
 
 
 def _spectrum(theta: float, g: float) -> tuple[float, float, float, float, float]:
@@ -161,18 +135,3 @@ def eigenvector_components(
     if norm <= 0.0:
         raise DomainBoundaryError(f"vanishing eigenvector norm for j={j} at theta={theta:g}, g={g:g}")
     return (u1, u2, u3, u4, norm)
-
-
-def eigenstate(j: int, theta: float, g: float, phi: float) -> np.ndarray:
-    """Normalized eigenstate N^{-1/2} [u1 e^{-i phi}, u2, u3, u4 e^{i phi}]."""
-    phi = check_param("phi", phi)
-    u1, u2, u3, u4, norm = eigenvector_components(j, theta, g)
-    vec = np.array(
-        [u1 * np.exp(-1j * phi), u2, u3, u4 * np.exp(1j * phi)], dtype=complex
-    )
-    return vec / math.sqrt(norm)
-
-
-def eigenbasis(theta: float, g: float, phi: float) -> np.ndarray:
-    """4x4 matrix whose columns are the four eigenstates at phi."""
-    return np.column_stack([eigenstate(j, theta, g, phi) for j in (1, 2, 3, 4)])

@@ -1,14 +1,17 @@
-"""Grid sweeps over (theta, g, q) and numeric-vs-analytic cross validation."""
+"""Grid sweeps over (theta, g, q) and numeric-vs-analytic cross validation.
+
+The quantity table and evaluate need only the closed forms.  The grid axes
+and the numeric phase build arrays: they import numpy and holonomy when first
+called.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-import numpy as np
-
-from . import closed_form, holonomy, states
+from . import closed_form, states
 from .entanglement import concurrence_depolarized, concurrence_pure
 from .errors import (
     ConvergenceFailureError,
@@ -16,8 +19,11 @@ from .errors import (
     DomainBoundaryError,
     IllPosedError,
 )
-from .spin_model import ModelParams, check_param
+from .spin_model import DEFAULT_STEPS, ModelParams, check_param
 from .topology import winding_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Quantity -> the subsystems it is defined for.  Berry and concurrence belong
 # to the composite state: a sweep of them only carries the subsystem label.
@@ -66,7 +72,7 @@ class SweepSpec:
     j: int = 2
     subsystem: str = "A"
     quantity: str = "uhlmann_closed"
-    steps: int = holonomy.DEFAULT_STEPS
+    steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
         _check_quantity(self.quantity, self.subsystem)
@@ -81,10 +87,14 @@ class SweepSpec:
         check_param("steps", self.steps)
 
     def theta_axis(self) -> np.ndarray:
+        import numpy as np
+
         lo, hi, count = self.theta_range
         return np.linspace(lo, hi, count)
 
     def g_axis(self) -> np.ndarray:
+        import numpy as np
+
         lo, hi, count = self.g_range
         return np.linspace(lo, hi, count)
 
@@ -113,20 +123,22 @@ def _numeric_phases(points: Sequence[ModelParams], subsystem: str, steps: int) -
     The loops start at the first point's phi0.  Each entry is a phase in
     radians, or the error that flags the point.
     """
+    from . import holonomy
+
     outcomes: list = [None] * len(points)
     rhos, parts, index = [], [], []
     for i, params in enumerate(points):
         try:
             if subsystem == "composite":
-                rho0 = states.depolarize(
-                    states.pure_density(params.j, params.theta, params.g, params.phi0),
+                rho0 = holonomy.depolarize(
+                    holonomy.pure_density(params.j, params.theta, params.g, params.phi0),
                     params.q,
                 )
                 part = holonomy.composite_generator(params)
             else:
                 part = states.reduce_state(params.j, params.theta, params.g, subsystem,
                                            params.q)
-                rho0 = part.matrix(params.phi0)
+                rho0 = holonomy.qubit_matrix(part, params.phi0)
         except tuple(_POINT_FLAGS) as exc:
             # Without its traceback the stored error keeps no frame alive.
             outcomes[i] = exc.with_traceback(None)
@@ -138,7 +150,7 @@ def _numeric_phases(points: Sequence[ModelParams], subsystem: str, steps: int) -
                     else holonomy.reduced_sampler)
     for lo in range(0, len(index), _BATCH_POINTS):
         block = slice(lo, lo + _BATCH_POINTS)
-        phases, _ = holonomy.converged_phase(make_sampler(parts[block]), np.stack(rhos[block]),
+        phases, _ = holonomy.converged_phase(make_sampler(parts[block]), rhos[block],
                                              points[0].phi0, start_steps=steps)
         for i, phase in zip(index[block], phases):
             outcomes[i] = phase if isinstance(phase, Exception) else phase.value
@@ -168,7 +180,7 @@ _VALUES = {
 
 def evaluate(
     quantity: str, params: ModelParams, subsystem: str = "A",
-    steps: int = holonomy.DEFAULT_STEPS,
+    steps: int = DEFAULT_STEPS,
 ) -> float:
     """One point of a quantity: a phase in radians, a concurrence or a winding.
 

@@ -1,11 +1,14 @@
-"""Winding numbers of the phase curve and vortex detection on phase maps."""
+"""Winding numbers of the phase curve and vortex detection on phase maps.
+
+winding_number is a closed form; phase_map and find_vortices work on arrays
+and import numpy when first called.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .closed_form import equator_r, uhlmann_subsystem
 from .entanglement import concurrence_equator
@@ -16,6 +19,9 @@ from .errors import (
     IllPosedError,
 )
 from .spin_model import G_LIMIT, ModelParams, check_param
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROOT_CLEARANCE = 1e-9
 # Sign of Im(-2 z) for 0 < theta < pi/2, per subsystem and eigenstate j = 1..4:
@@ -81,6 +87,8 @@ def phase_map(
     Returns (values, flags); values are NaN where flags is nonzero.  Flag 1
     marks domain-boundary points, flag 2 degenerate (vortex) points.
     """
+    import numpy as np
+
     values = np.full((len(theta_axis), len(g_axis)), np.nan)
     flags = np.zeros((len(theta_axis), len(g_axis)), dtype=int)
     for it, theta in enumerate(theta_axis):
@@ -98,6 +106,8 @@ def phase_map(
 
 def _wrapped(x: np.ndarray) -> np.ndarray:
     """closed_form.wrap_angle over an array, operation for operation."""
+    import numpy as np
+
     return x - 2.0 * math.pi * np.ceil((x - math.pi) / (2.0 * math.pi))
 
 
@@ -120,6 +130,8 @@ def find_vortices(
     GridTooCoarseError when too many clean links jump by more than pi/2.
     Hits come in row-major plaquette order.
     """
+    import numpy as np
+
     if flags is None:
         flags = np.where(np.isnan(values), 2, 0)
     boundary = _touches(flags == 1)

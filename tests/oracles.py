@@ -12,21 +12,49 @@ from spinphase import (
     ModelParams,
     VortexHit,
     composite_generator,
+    qubit_matrix,
     reduce_state,
     uhlmann_phase,
     wrap_angle,
 )
 from spinphase.closed_form import _phase_from_parts, _two_z
-from spinphase.holonomy import PHASE_TOL
-from spinphase.spin_model import MAX_STEPS, PAULI
+from spinphase.holonomy import PAULI, PHASE_TOL
+from spinphase.spin_model import MAX_STEPS, check_param
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
-# tensor order {++, +-, -+, --}.
+# tensor order {++, +-, -+, --}, in either direction: it is its own inverse.
 TO_STANDARD = np.array([1, 0, 3, 2])
 # sigma_y x sigma_y, the two-qubit spin flip.
 _SYSY = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
 )
+
+
+def hamiltonian(theta, phi, g):
+    """Rescaled 4x4 Hamiltonian in the {+-, ++, --, -+} basis.
+
+    Serves as the validation oracle for the closed-form eigen-pairs.
+    """
+    theta, g = check_param("theta", theta), check_param("g", g)
+    phi = check_param("phi", phi)
+    n = (math.sin(theta) * math.cos(phi),
+         math.sin(theta) * math.sin(phi),
+         math.cos(theta))
+    h_spin = sum(nc * s for nc, s in zip(n, PAULI))
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sm = sp.T.conj()
+    h = np.kron(h_spin, np.eye(2)) + g * (np.kron(sp, sp) + np.kron(sm, sm))
+    return h[np.ix_(TO_STANDARD, TO_STANDARD)]
+
+
+def bloch(qs, phi):
+    """Bloch vector (2c cos phi, -2c sin phi, 2a - 1) of a reduced state and its norm.
+
+    The norm equals p2 - p1; its square is (1-q)^2 [1 - C^2] in terms of the
+    pure-state concurrence of the composite.
+    """
+    n = np.array([2.0 * qs.c * math.cos(phi), -2.0 * qs.c * math.sin(phi), 2.0 * qs.a - 1.0])
+    return n, qs.bloch_length
 
 
 def validate_density(rho, tol=1e-10):
@@ -124,7 +152,7 @@ def levels_eigh(qs):
     eigenvector at phi for each eigenvector w at 0; in that single-valued
     gauge the loop integral of <w| i d_phi w> is 2 pi |w_1|^2.
     """
-    p, w = np.linalg.eigh(qs.matrix(0.0))
+    p, w = np.linalg.eigh(qubit_matrix(qs, 0.0))
     return p, 2.0 * np.pi * np.abs(w[0]) ** 2
 
 

@@ -23,6 +23,7 @@ from spinphase import (
     eigenstate,
     interferometric_subsystem,
     mean_berry,
+    qubit_matrix,
     reduce_state,
     uhlmann_equator,
     uhlmann_subsystem,
@@ -92,7 +93,7 @@ class TestBerryLevels:
         g1, g2 = berry_qubit_levels(qs)
 
         def level_state(level, phi):
-            w = np.linalg.eigh(qs.matrix(phi))[1][:, level]
+            w = np.linalg.eigh(qubit_matrix(qs, phi))[1][:, level]
             return w * abs(w[1]) / w[1]
 
         o1 = berry_quadrature(lambda p: level_state(0, p), points=2000)

@@ -22,14 +22,15 @@ from spinphase import (
     eigenbasis,
     integrate_holonomy,
     pure_density,
+    qubit_matrix,
     reduce_state,
     uhlmann_phase,
     uhlmann_subsystem,
     reduced_sampler,
 )
 from spinphase import holonomy
-from spinphase.holonomy import CHUNK_STEPS, PHASE_TOL
-from spinphase.spin_model import MAX_STEPS, PAULI
+from spinphase.holonomy import CHUNK_STEPS, PAULI, PHASE_TOL
+from spinphase.spin_model import MAX_STEPS
 
 PI = math.pi
 
@@ -70,7 +71,7 @@ def composite_sqrt(theta, g, j, q):
 
 def reduced_sqrt(qs):
     def fn(phi):
-        w, v = np.linalg.eigh(qs.matrix(phi))
+        w, v = np.linalg.eigh(qubit_matrix(qs, phi))
         return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
     return fn
@@ -133,7 +134,7 @@ class TestReducedConnection:
         ]:
             qs = reduce_state(j, theta, g, sub, q)
             a = at(reduced_one(qs), phi)
-            w, v = np.linalg.eigh(qs.matrix(phi))
+            w, v = np.linalg.eigh(qubit_matrix(qs, phi))
             oracle = connection_commutator(reduced_sqrt(qs), v, w, phi)
             assert np.allclose(a, oracle, atol=1e-7)
 
@@ -171,7 +172,7 @@ class TestIntegration:
             (3, 2.0, 2.3, 0.1, "A"),
         ]:
             qs = reduce_state(j, theta, g, sub, q)
-            phase, _ = converged_one(reduced_one(qs), qs.matrix(0.0), 0.0)
+            phase, _ = converged_one(reduced_one(qs), qubit_matrix(qs, 0.0), 0.0)
             expected = uhlmann_subsystem(ModelParams(theta, g, q, j), sub)
             assert phase.value == pytest.approx(expected.value, abs=1e-9)
 
@@ -180,7 +181,7 @@ class TestIntegration:
         qs = reduce_state(2, 1.2, 1.7, "A", 0.2)
         reference = None
         for phi0 in (0.0, PI / 3, 1.7):
-            phase, _ = converged_one(reduced_one(qs), qs.matrix(phi0), phi0)
+            phase, _ = converged_one(reduced_one(qs), qubit_matrix(qs, phi0), phi0)
             if reference is None:
                 reference = phase.value
             assert phase.value == pytest.approx(reference, abs=1e-9)
@@ -198,11 +199,11 @@ class TestIntegration:
         # Above MAX_STEPS // 2 no doubling could confirm the first integration.
         qs = reduce_state(2, 0.9, 1.1, "A")
         with pytest.raises(ValueError, match="^steps must"):
-            converged_phase(reduced_one(qs), qs.matrix(0.0)[None], start_steps=start_steps)
+            converged_phase(reduced_one(qs), qubit_matrix(qs, 0.0)[None], start_steps=start_steps)
 
     def test_converged_phase_reports_steps(self):
         qs = reduce_state(2, 0.9, 1.1, "A")
-        phase, hol = converged_one(reduced_one(qs), qs.matrix(0.0))
+        phase, hol = converged_one(reduced_one(qs), qubit_matrix(qs, 0.0))
         assert isinstance(hol, Holonomy)
         assert hol.steps >= 1024
         assert phase.magnitude is not None and 0.0 < phase.magnitude <= 1.0 + 1e-12
@@ -231,7 +232,7 @@ def batch(subsystem, points):
         ones = [oracles.composite_point_sampler(p) for p in points]
     else:
         qss = [reduce_state(p.j, p.theta, p.g, subsystem, p.q) for p in points]
-        rho0 = [qs.matrix(0.0) for qs in qss]
+        rho0 = [qubit_matrix(qs, 0.0) for qs in qss]
         sampler = reduced_sampler(qss)
         ones = [oracles.reduced_point_sampler(qs) for qs in qss]
     return np.stack(rho0), sampler, ones

@@ -10,8 +10,8 @@ from spinphase import (
     eigenstate,
     eigenvalues,
     eigenvector_components,
-    hamiltonian,
 )
+from oracles import hamiltonian
 from spinphase.spin_model import G_LIMIT, MAX_STEPS, check_param
 from strategies import COUPLINGS, THETAS, with_reproducers
 

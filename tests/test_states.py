@@ -5,14 +5,14 @@ import pytest
 
 from spinphase import (
     QubitState,
-    bloch,
     concurrence_equator,
     depolarize,
     eigenstate,
     pure_density,
+    qubit_matrix,
     reduce_state,
 )
-from oracles import partial_trace_standard, validate_density
+from oracles import bloch, partial_trace_standard, validate_density
 
 GRID_THETAS = np.linspace(0.2, math.pi - 0.2, 15)
 GRID_GS = np.linspace(0.1, 3.0, 15)
@@ -81,7 +81,7 @@ class TestReduceState:
                     for s in "AB":
                         qs = reduce_state(j, float(theta), float(g), s)
                         oracle = reduced_oracle(j, float(theta), float(g), phi, s)
-                        assert np.abs(qs.matrix(phi) - oracle).max() < 1e-12
+                        assert np.abs(qubit_matrix(qs, phi) - oracle).max() < 1e-12
 
     def test_separable_limit_is_pure(self):
         qs = reduce_state(2, math.pi / 4, 1e-12, "A")
@@ -89,15 +89,15 @@ class TestReduceState:
 
     def test_phi_independent_coefficients(self):
         qs = reduce_state(2, 1.0, 1.4, "A")
-        m0 = qs.matrix(0.0)
-        m1 = qs.matrix(2.1)
+        m0 = qubit_matrix(qs, 0.0)
+        m1 = qubit_matrix(qs, 2.1)
         assert m0[0, 0] == m1[0, 0]
         assert abs(m0[0, 1]) == pytest.approx(abs(m1[0, 1]), abs=1e-15)
 
     def test_eigensystem_reconstruction(self):
         phi = 0.45
         qs = reduce_state(2, 0.9, 1.3, "A")
-        m = qs.matrix(phi)
+        m = qubit_matrix(qs, phi)
         w, v = np.linalg.eigh(m)
         assert w == pytest.approx([qs.p1, qs.p2], abs=1e-14)
         assert qs.bloch_length == pytest.approx(w[1] - w[0], abs=1e-14)
@@ -125,7 +125,7 @@ class TestDepolarizeReduced:
                 pt = partial_trace_standard(rho_d, s)
                 if s == "B":
                     pt = SWAP @ pt @ SWAP
-                assert np.abs(qs_then.matrix(phi) - pt).max() < 1e-12
+                assert np.abs(qubit_matrix(qs_then, phi) - pt).max() < 1e-12
 
     def test_eigenvalue_shift(self):
         qs = reduce_state(2, 0.9, 1.3, "A")
@@ -133,8 +133,8 @@ class TestDepolarizeReduced:
         qd = reduce_state(2, 0.9, 1.3, "A", q)
         assert qd.p1 == pytest.approx(q / 2 + (1 - q) * qs.p1, abs=1e-14)
         # The channel shifts the spectrum and leaves the level vectors as they are.
-        _, v = np.linalg.eigh(qs.matrix(0.3))
-        _, vd = np.linalg.eigh(qd.matrix(0.3))
+        _, v = np.linalg.eigh(qubit_matrix(qs, 0.3))
+        _, vd = np.linalg.eigh(qubit_matrix(qd, 0.3))
         assert np.abs(np.abs(v.conj().T @ vd) - np.eye(2)).max() < 1e-12
 
     def test_det_identity(self):
@@ -188,4 +188,4 @@ class TestBloch:
         sy = np.array([[0, -1j], [1j, 0]])
         sz = np.diag([1.0, -1.0]).astype(complex)
         rebuilt = 0.5 * (np.eye(2) + n[0] * sx - n[1] * sy + n[2] * sz)
-        assert np.abs(rebuilt - qs.matrix(phi)).max() < 1e-12
+        assert np.abs(rebuilt - qubit_matrix(qs, phi)).max() < 1e-12
