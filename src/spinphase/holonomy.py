@@ -107,8 +107,9 @@ def composite_generator(params: ModelParams) -> np.ndarray:
 
     Built from the closed-form eigenbasis: W (i M) W^dagger with M the real
     symmetric overlap-derivative matrix and weights
-    (sqrt(p_k) - sqrt(p_i))^2 / (p_k + p_i).  Raises DomainBoundaryError where
-    an eigenvector has no closed form.
+    (sqrt(p_k) - sqrt(p_i))^2 / (p_k + p_i).  Raises DomainBoundaryError on
+    the poles at g = 0, where the eigenbasis is not fixed, and where an
+    eigenvector norm underflows.
     """
     spectrum = [eigenvector_components(j, params.theta, params.g) for j in (1, 2, 3, 4)]
     u = np.array([c[:4] for c in spectrum])

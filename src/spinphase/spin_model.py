@@ -14,11 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DomainBoundaryError
 
-# Below this coupling the closed-form component denominators degenerate and the
-# separable-limit eigenvectors are used instead.
-G_LIMIT = 1e-9
-SIN_THETA_LIMIT = 1e-9
-
 # Step doubling of the numeric holonomy starts at DEFAULT_STEPS and stops at
 # MAX_STEPS, so a start count above MAX_STEPS // 2 could never be confirmed by
 # a second integration.
@@ -80,10 +75,10 @@ def _spectrum(theta: float, g: float) -> tuple[float, float, float, float, float
     """sin(theta), cos(theta), R = sqrt(g^2 + 4 sin^2 theta), E1 and E3.
 
     E3 comes from E1 E3 = sqrt(1 + g^2 cos^2 theta), so neither energy is a
-    cancelling difference.
+    cancelling difference.  R is a hypot: > 0 even where g^2 and sin^2 underflow.
     """
     st, ct = math.sin(theta), math.cos(theta)
-    big_r = math.sqrt(g * g + 4.0 * st ** 2)
+    big_r = math.hypot(g, 2.0 * st)
     e1 = math.sqrt(1.0 + g * g / 2.0 + g * big_r / 2.0)
     return st, ct, big_r, e1, math.sqrt(1.0 + (g * ct) ** 2) / e1
 
@@ -102,36 +97,36 @@ def eigenvector_components(
 
     With sigma = +1 for j = 1, 2 and -1 for j = 3, 4: u1 = sin(theta),
     u2 = (g + sigma R)/2, u3 = E - cos(theta) and u4 = u1 u3 / u2, each
-    written so that no difference cancels.  For g below G_LIMIT the
-    separable-limit components are used; on the sin(theta) boundary with
-    finite coupling no closed form exists and a DomainBoundaryError is raised.
+    written so that no difference cancels.  For j = 3, 4 the components are
+    rescaled by a power of sin(theta), so that one formula holds on the poles
+    too.  Raises DomainBoundaryError at theta in {0, pi} with g = 0, where
+    E1 = E3 and j does not fix the state.
     """
     theta, g = check_param("theta", theta), check_param("g", g)
     check_param("j", j)
+    if g == 0.0 and theta in (0.0, math.pi):
+        raise DomainBoundaryError(f"degenerate levels at theta = {theta:g}, g = 0")
     st, ct, big_r, e1, e3 = _spectrum(theta, g)
     e = (e1, -e1, e3, -e3)[j - 1]
-    if g <= G_LIMIT:
-        # Separable limit: components of the g -> 0+ eigenstates, where
-        # E^2 - cos^2 theta = sin^2 theta turns E - cos(theta) into a quotient
-        # wherever E and cos(theta) share a sign.
-        sign = 1.0 if j in (1, 2) else -1.0
-        u1, u3 = st, st * st / (e + ct) if e * ct > 0.0 else e - ct
-        u2, u4 = sign * u1, sign * u3
-    else:
-        if st <= SIN_THETA_LIMIT:
-            raise DomainBoundaryError(
-                f"sin(theta) = {st:g} too small for the closed-form "
-                f"eigenvectors at g = {g:g}"
-            )
+    if j <= 2:
         u1 = st
-        # u2 solves u2^2 = sin^2 theta + g u2; the two roots multiply to
-        # -sin^2 theta, which gives the sigma = -1 root without cancelling.
-        u2 = (g + big_r) / 2.0 if j <= 2 else -2.0 * st * st / (g + big_r)
+        # u2 solves u2^2 = sin^2 theta + g u2; this root is > 0 unless g = sin = 0.
+        u2 = (g + big_r) / 2.0
         # E^2 - cos^2 theta = u2^2, so where E and cos(theta) share a sign
         # the difference E - cos(theta) becomes a quotient.
         u3 = u2 * u2 / (e + ct) if e * ct > 0.0 else e - ct
         u4 = u1 * u3 / u2
+    else:
+        # The other root, -2 sin^2 theta / (g + R), is sin(theta) t: divide
+        # the components by sin(theta) where u3 is a quotient in u2^2, else
+        # multiply them by it, so that none is 0 / 0 at a pole.
+        t = -2.0 * st / (g + big_r)
+        if e * ct > 0.0:
+            u1, u2, u3, u4 = 1.0, t, st * t * t / (e + ct), st * t / (e + ct)
+        else:
+            u1, u2, u3, u4 = st * st, st * st * t, st * (e - ct), -(e - ct) * (g + big_r) / 2.0
     norm = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
-    if norm <= 0.0:
+    # A subnormal norm has lost its digits to underflow (g < ~1e-154 at a pole).
+    if norm < sys.float_info.min:
         raise DomainBoundaryError(f"vanishing eigenvector norm for j={j} at theta={theta:g}, g={g:g}")
     return (u1, u2, u3, u4, norm)

@@ -49,6 +49,9 @@ _POINT_FLAGS = {
 _WINDING_FLAGS = {IllPosedError: "ill-posed"}
 
 CSV_HEADER = "theta,g,q,j,subsystem,quantity,value_pi,flag"
+# cross_validate lists the points whose phases differ by more than WARN_TOL
+# and fails when one differs by more than FAIL_TOL.
+WARN_TOL, FAIL_TOL = 1e-6, 1e-5
 
 
 def _check_quantity(quantity: str, subsystem: str) -> None:
@@ -248,12 +251,10 @@ class ValidationReport:
     count: int = 0
     flagged: int = 0
     exceeding: list[tuple[float, float, float, float]] = field(default_factory=list)
-    warn_tol: float = 1e-6
-    fail_tol: float = 1e-5
 
     @property
     def failed(self) -> bool:
-        return any(err > self.fail_tol for _, _, _, err in self.exceeding)
+        return any(err > FAIL_TOL for _, _, _, err in self.exceeding)
 
 
 def cross_validate(spec: SweepSpec) -> ValidationReport:
@@ -281,6 +282,6 @@ def cross_validate(spec: SweepSpec) -> ValidationReport:
         err = abs(closed_form.wrap_angle(value - closed))
         report.count += 1
         report.max_error = max(report.max_error, err)
-        if err > report.warn_tol:
+        if err > WARN_TOL:
             report.exceeding.append((params.theta, params.g, params.q, err))
     return report

@@ -18,12 +18,14 @@ from .errors import (
     GridTooCoarseError,
     IllPosedError,
 )
-from .spin_model import G_LIMIT, ModelParams, check_param
+from .spin_model import ModelParams, check_param
 
 if TYPE_CHECKING:
     import numpy as np
 
 ROOT_CLEARANCE = 1e-9
+# Largest share of clean links that may jump by more than pi/2 in find_vortices.
+JUMP_FRACTION_LIMIT = 0.05
 # Sign of Im(-2 z) for 0 < theta < pi/2, per subsystem and eigenstate j = 1..4:
 # the direction in which the phase curve crosses the real axis at the equator.
 ORIENTATION = {"A": (-1, 1, -1, 1), "B": (1, -1, -1, 1)}
@@ -62,8 +64,8 @@ def winding_number(
     if subsystem not in ORIENTATION:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     g, q, j = check_param("g", g), check_param("q", q), check_param("j", j)
-    if subsystem == "B" and g <= G_LIMIT:
-        # Separable limit: B's reduced state is diagonal, its holonomy trivial
+    if subsystem == "B" and g == 0.0:
+        # Uncoupled spins: B's reduced state is diagonal, its holonomy trivial
         # and its curve a single point at distance 1 from the origin.
         return WindingResult(0, 1.0)
     cos_r = math.cos(math.pi * equator_r(concurrence_equator(g).value, q))
@@ -121,7 +123,6 @@ def find_vortices(
     theta_axis: np.ndarray,
     g_axis: np.ndarray,
     flags: np.ndarray | None = None,
-    jump_fraction_limit: float = 0.05,
 ) -> list[VortexHit]:
     """Locate phase vortices by plaquette circulation of wrapped differences.
 
@@ -142,7 +143,7 @@ def find_vortices(
     diffs = [_wrapped(b - a), _wrapped(c - b), _wrapped(d - c), _wrapped(a - d)]
     clean_links = 4 * int(np.count_nonzero(clean))
     jumpy_links = sum(int(np.count_nonzero(clean & (np.abs(x) > math.pi / 2.0))) for x in diffs)
-    if clean_links and jumpy_links / clean_links > jump_fraction_limit:
+    if clean_links and jumpy_links / clean_links > JUMP_FRACTION_LIMIT:
         raise GridTooCoarseError(
             f"{jumpy_links}/{clean_links} links jump by more than pi/2"
         )

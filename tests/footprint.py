@@ -5,11 +5,12 @@ Usage: python tests/footprint.py OLD_SRC NEW_SRC
 Each tree's ``spinphase`` runs in its own interpreter over 20 000 seeded
 points: half at least 1e-3 from a pole, half 1e-9 to 1e-3 from one; g
 log-uniform in [1e-10, 3] or uniform in [0, 3]; q drawn from
-{0, 0.05, 0.1073, 0.3, U(0, 1), 1}; j from 1..4.  The subsystem phases are
-evaluated for A and B, the composite Berry phase and the concurrence once a
-point.  For each quantity it prints the largest difference far from and near
-the poles (radians for phases), the number of values whose 12-digit CSV form
-changed, and every flag that changed.
+{0, 0.05, 0.1073, 0.3, U(0, 1), 1}; j from 1..4.  A further 400 points sit
+exactly on a pole, theta in {0, pi}, a quarter of them at g = 0.  The
+subsystem phases are evaluated for A and B, the composite Berry phase and the
+concurrence once a point.  For each quantity it prints the largest difference
+far from, near and on the poles (radians for phases), the number of values
+whose 12-digit CSV form changed, and every flag that changed.
 """
 
 import math
@@ -21,7 +22,9 @@ import sys
 import numpy as np
 
 POINTS = 20_000
+POLE_POINTS = 400
 SEED = 20_251_020
+REGIONS = ("far", "near", "pole")
 QUANTITIES = {
     "uhlmann_closed": ("A", "B"),
     "interferometric": ("A", "B"),
@@ -31,7 +34,8 @@ QUANTITIES = {
 
 
 def points():
-    """(theta, g, q, j) rows; the first half far from the poles, the second near."""
+    """(theta, g, q, j) rows: POINTS / 2 far from the poles, as many near, then
+    POLE_POINTS on them."""
     rng = np.random.default_rng(SEED)
     half = POINTS // 2
     off = 10.0 ** rng.uniform(-9.0, -3.0, half)
@@ -44,6 +48,11 @@ def points():
     qs = np.where(pick == 4, rng.uniform(0.0, 1.0, POINTS),
                   np.array([0.0, 0.05, 0.1073, 0.3, 0.0, 1.0])[pick])
     js = rng.integers(1, 5, POINTS)
+    # The pole points reuse the first rows' g, q and j; a quarter are uncoupled.
+    poles = np.where(rng.random(POLE_POINTS) < 0.5, 0.0, math.pi)
+    pole_gs = np.where(rng.random(POLE_POINTS) < 0.25, 0.0, gs[:POLE_POINTS])
+    thetas, gs = np.concatenate([thetas, poles]), np.concatenate([gs, pole_gs])
+    qs, js = np.concatenate([qs, qs[:POLE_POINTS]]), np.concatenate([js, js[:POLE_POINTS]])
     return [(float(t), float(g), float(q), int(j)) for t, g, q, j in zip(thetas, gs, qs, js)]
 
 
@@ -85,13 +94,13 @@ def compare(old, new):
     for quantity, subsystems in QUANTITIES.items():
         unit = "" if quantity == "concurrence" else " rad"
         per_point = len(subsystems)
-        largest = [(0.0, None), (0.0, None)]
-        changed = [0, 0]
-        total = [0, 0]
+        largest = [(0.0, None)] * len(REGIONS)
+        changed = [0] * len(REGIONS)
+        total = [0] * len(REGIONS)
         flag_lines = []
         for k, ((a, fa), (b, fb)) in enumerate(zip(old[quantity], new[quantity])):
             point, subsystem = rows[k // per_point], subsystems[k % per_point]
-            region = int(k // per_point >= half)
+            region = min(k // per_point // half, 2)
             total[region] += 1
             if fa != fb:
                 flag_lines.append(f"  {point} {subsystem}: {fa or a!r} -> {fb or b!r}")
@@ -103,7 +112,7 @@ def compare(old, new):
                 largest[region] = (abs(diff), (point, subsystem))
             changed[region] += csv_form(quantity, a) != csv_form(quantity, b)
         print(f"{quantity}:")
-        for region, name in enumerate(("far", "near")):
+        for region, name in enumerate(REGIONS):
             size, where = largest[region]
             print(f"  {name}: largest difference {size:.2g}{unit} at {where}; "
                   f"{changed[region]} of {total[region]} 12-digit values changed")

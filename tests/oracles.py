@@ -20,6 +20,7 @@ from spinphase import (
 from spinphase.closed_form import _phase_from_parts, _two_z
 from spinphase.holonomy import PAULI, PHASE_TOL
 from spinphase.spin_model import MAX_STEPS, check_param
+from spinphase.topology import JUMP_FRACTION_LIMIT
 
 # Permutation between the library basis {+-, ++, --, -+} and the standard
 # tensor order {++, +-, -+, --}, in either direction: it is its own inverse.
@@ -87,7 +88,7 @@ def concurrence_wootters(rho):
     ev = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.conj(), compute_uv=False)
     ev = np.sort(ev)
     value = max(0.0, ev[3] - ev[2] - ev[1] - ev[0])
-    return ConcurrenceValue(min(value, 1.0), "wootters")
+    return ConcurrenceValue(min(value, 1.0))
 
 
 def partial_trace_standard(rho, keep):
@@ -198,7 +199,7 @@ def sampled_winding(curve):
     return int(round(float(angles[-1] - angles[0]) / (2.0 * np.pi)))
 
 
-def find_vortices_loop(values, theta_axis, g_axis, flags=None, jump_fraction_limit=0.05):
+def find_vortices_loop(values, theta_axis, g_axis, flags=None):
     """Plaquette-by-plaquette vortex search, the reference for find_vortices."""
     if flags is None:
         flags = np.where(np.isnan(values), 2, 0)
@@ -227,7 +228,7 @@ def find_vortices_loop(values, theta_axis, g_axis, flags=None, jump_fraction_lim
             circulation = sum(diffs)
             if abs(circulation) > math.pi:
                 hits.append(VortexHit(t_mid, g_mid, circulation))
-    if clean_links and jumpy_links / clean_links > jump_fraction_limit:
+    if clean_links and jumpy_links / clean_links > JUMP_FRACTION_LIMIT:
         raise GridTooCoarseError(
             f"{jumpy_links}/{clean_links} links jump by more than pi/2"
         )

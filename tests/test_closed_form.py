@@ -30,7 +30,8 @@ from spinphase import (
     wrap_angle,
 )
 from spinphase.closed_form import _two_z, equator_r
-from strategies import COUPLINGS, THETAS
+from spinphase.sweeps import SUBSYSTEMS, evaluate
+from strategies import COUPLINGS, THETAS, boundary_point
 
 PI = math.pi
 
@@ -132,6 +133,7 @@ def _drawn_state(theta, g, q, j, subsystem):
     try:
         return reduce_state(j, theta, g, subsystem, q)
     except DomainBoundaryError:
+        assert boundary_point(theta, g)
         assume(False)
 
 
@@ -218,6 +220,32 @@ class TestUhlmannSubsystem:
         # q = 1 gives r = 1 exactly: Arg{-cos(pi)} = 0.
         p = ModelParams(theta=1.0, g=1.3, q=1.0, j=2)
         assert uhlmann_subsystem(p, "A").value == 0.0
+
+
+class TestPoles:
+    @given(st.sampled_from((0.0, PI)), st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
+           st.floats(0.0, 1.0), st.integers(1, 4))
+    def test_pole_value_is_the_limit(self, pole, g, q, j):
+        # With coupling the poles are regular points: every closed form there
+        # equals its value 1e-8 off the pole.  Berry is compared mod 2 pi.
+        near = ModelParams(1e-8 if pole == 0.0 else PI - 1e-8, g, q, j)
+        at = ModelParams(pole, g, q, j)
+        for quantity in ("uhlmann_closed", "berry", "interferometric", "concurrence"):
+            for subsystem in SUBSYSTEMS[quantity]:
+                diff = evaluate(quantity, at, subsystem) - evaluate(quantity, near, subsystem)
+                assert abs(math.remainder(diff, 2.0 * PI)) <= 1e-10
+
+    def test_pole_values(self):
+        # The loop shrinks to a point; the concurrence is that of the
+        # {|++>, |-->} block for j = 1, 2 and 0 for the product states of j = 3, 4.
+        for pole in (0.0, PI):
+            for j in (1, 2, 3, 4):
+                p = ModelParams(pole, 1.0, 0.0, j)
+                for subsystem in ("A", "B"):
+                    assert uhlmann_subsystem(p, subsystem).value == 0.0
+                    assert interferometric_subsystem(p, subsystem).value == 0.0
+                expected = 1.0 / math.sqrt(2.0) if j <= 2 else 0.0
+                assert evaluate("concurrence", p) == pytest.approx(expected, abs=1e-15)
 
 
 class TestMirrorAndEquator:

@@ -18,7 +18,8 @@ from spinphase import cli
 
 G_C = repr(2.0 / math.sqrt(3.0))
 # theta in {0, pi/4, pi/2, 3pi/4, pi} and g in {0, g_c, 2 g_c}: the grid holds
-# boundary rows, the separable limit and the equator vortex.
+# the poles with coupling, the poles at g = 0 (boundary rows), g = 0 off the
+# poles and the equator vortex.
 CLOSED_GRID = ["--grid", "5x3", "--g-max", repr(4.0 / math.sqrt(3.0))]
 NUMERIC_GRID = ["--grid", "2x2", "--theta-min", "0.5", "--theta-max", "2.6",
                 "--g-min", "0.3", "--g-max", "2.2", "--steps", "512"]
@@ -27,7 +28,7 @@ POINT = ["--theta", "1.1", "--g", "1.4", "--q", "0.2"]
 CASES = {
     "sweep-uhlmann_closed": (
         ["sweep", "--quantity", "uhlmann_closed", "--q", "0", "0.2", *CLOSED_GRID],
-        "a908b078b75966d41e513f3f05fef84a6d0195471c54551146fa21d94a261b48",
+        "bc0ea4d0b4e618dc3987512776412a9c8a559b5dd3b0dae0f5962958cd9f16c2",
     ),
     "sweep-uhlmann_numeric": (
         ["sweep", "--quantity", "uhlmann_numeric", "--subsystem", "B", "--q", "0.1",
@@ -37,16 +38,16 @@ CASES = {
     "sweep-berry": (
         ["sweep", "--quantity", "berry", "--subsystem", "composite", "--j", "3",
          *CLOSED_GRID],
-        "a44aae286c3aa1be266587d3cd4fca29785eef92ea48392d0bbc72440859ce7e",
+        "7fc5aa444f109709e0f10831f19134127a93277404a71da329060e868ae4e398",
     ),
     "sweep-interferometric": (
         ["sweep", "--quantity", "interferometric", "--subsystem", "B", "--q", "0", "0.3",
          *CLOSED_GRID],
-        "91246bf18631322c124e4b54d86bdf2ceaca9dcb8fa9b5e96fb73b97190c35c7",
+        "9071db3d8a99da9969f70986aac541528427297a421fcecbc36d07b7cd708323",
     ),
     "sweep-concurrence": (
         ["sweep", "--quantity", "concurrence", "--j", "1", "--q", "0", "0.3", *CLOSED_GRID],
-        "26d0c3fccd1d9c866086f25277e7f281484bba67aaab6dfa82aa32715d4dbd24",
+        "bf764ace3a0c69a6d16a1cf15583f803bc0ecaed6084ea74abe8e2fb5b9aa89c",
     ),
     "sweep-winding": (
         ["sweep", "--quantity", "winding", "--q", "0.05", "--grid", "2x6",
@@ -55,7 +56,7 @@ CASES = {
     ),
     "spectrum": (
         ["spectrum", "--theta", "1.1", "--g", "0.7"],
-        "0ff18422b9a5c55d764be9a246c3715fb471e04973ebcb49573cd1afaa288f3d",
+        "d106f29c452cb858fa704c70d058fac82142826a9bf000b5ccf9be0f04afa0ee",
     ),
     "phase-uhlmann_closed": (
         ["phase", *POINT],

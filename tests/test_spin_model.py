@@ -12,8 +12,8 @@ from spinphase import (
     eigenvector_components,
 )
 from oracles import hamiltonian
-from spinphase.spin_model import G_LIMIT, MAX_STEPS, check_param
-from strategies import COUPLINGS, THETAS, with_reproducers
+from spinphase.spin_model import MAX_STEPS, check_param
+from strategies import COUPLINGS, THETAS, boundary_point, with_reproducers
 
 INTERIOR_THETAS = np.linspace(0.15, math.pi - 0.15, 20)
 INTERIOR_GS = np.linspace(0.1, 3.0, 20)
@@ -141,7 +141,7 @@ class TestEigenvectorComponents:
         assert qs.c == pytest.approx(0.5, abs=1e-9)
         assert qs.p1 == pytest.approx(0.0, abs=1e-9)
 
-    def test_limit_branch_continuous_with_formula(self):
+    def test_uncoupled_components_continuous_with_coupled(self):
         for j in (1, 2, 3, 4):
             lim = eigenvector_components(j, 1.1, 0.0)
             near = eigenvector_components(j, 1.1, 1e-7)
@@ -149,11 +149,23 @@ class TestEigenvectorComponents:
             v_near = np.array(near[:4]) / math.sqrt(near[4])
             assert np.allclose(v_lim, v_near, atol=1e-6)
 
-    def test_domain_boundary_at_poles_with_coupling(self):
-        with pytest.raises(DomainBoundaryError):
-            eigenvector_components(3, 0.0, 1.0)
-        with pytest.raises(DomainBoundaryError):
-            eigenvector_components(1, math.pi, 0.5)
+    def test_domain_boundary_only_at_the_uncoupled_poles(self):
+        # At theta in {0, pi} with g = 0, E1 = E3 and j fixes no state.  With
+        # coupling the poles have components: the product states |+->, |-+>
+        # for j = 3, 4 and a state of the {|++>, |-->} block for j = 1, 2.
+        for j in (1, 2, 3, 4):
+            for theta in (0.0, math.pi):
+                with pytest.raises(DomainBoundaryError):
+                    eigenvector_components(j, theta, 0.0)
+        assert eigenvector_components(3, 0.0, 1.0) == (1.0, -0.0, 0.0, -0.0, 1.0)
+        assert eigenvector_components(4, 0.0, 1.0) == (0.0, -0.0, -0.0, 2.0, 4.0)
+        u1, u2, u3, u4, _ = eigenvector_components(1, math.pi, 0.5)
+        assert u1 == math.sin(math.pi) and u2 == 0.5 and u4 < 1e-15
+        # The norm guard catches an underflow, to 0 or to a subnormal norm:
+        # at theta = 0, u2 = g for j = 1 and u4 = 2 g for j = 4.
+        for j, g in ((1, 1e-300), (1, 1e-160), (4, 1e-160)):
+            with pytest.raises(DomainBoundaryError):
+                eigenvector_components(j, 0.0, g)
 
     def test_norm_positive_on_interior(self):
         for theta in INTERIOR_THETAS[::4]:
@@ -167,13 +179,14 @@ class TestCancellationFree:
     @with_reproducers()
     def test_eigen_residual(self, theta, g):
         h = hamiltonian(theta, 0.4, g)
-        # Up to G_LIMIT the components are the g -> 0+ limit, whose residual
-        # in H(g) is of order g (at most g / sqrt(2)); at g = 0 it is exact.
-        tol = 1e-13 * max(1.0, g) + (g if g <= G_LIMIT else 0.0)
         for j in (1, 2, 3, 4):
-            v = eigenstate(j, theta, g, 0.4)
+            try:
+                v = eigenstate(j, theta, g, 0.4)
+            except DomainBoundaryError:
+                assert boundary_point(theta, g)
+                continue
             hv = h @ v
-            assert np.linalg.norm(hv - np.vdot(v, hv) * v) <= tol
+            assert np.linalg.norm(hv - np.vdot(v, hv) * v) <= 1e-13 * max(1.0, g)
 
     @given(THETAS, COUPLINGS)
     @with_reproducers()

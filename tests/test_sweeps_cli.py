@@ -202,11 +202,37 @@ class TestCli:
         assert "status,OK" in out
 
     def test_validate_of_no_point_is_not_a_pass(self, capsys):
-        # Every point of the theta = 0 row is flagged, so nothing is compared.
-        code = cli.main(["validate", "--theta-min", "0", "--theta-max", "0", "--grid", "2x2"])
+        # Every point is the pole at g = 0, a boundary, so nothing is compared.
+        code = cli.main(["validate", "--theta-min", "0", "--theta-max", "0",
+                         "--g-min", "0", "--g-max", "0", "--grid", "2x2"])
         out = capsys.readouterr().out.split("\n")
         assert code == cli.EXIT_VALIDATION
         assert out[:2] == ["points,0", "flagged,4"] and out[-2] == "status,EMPTY"
+
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            (["phase", "--theta", "0", "--g", "1"], "0"),
+            (["concurrence", "--theta", "0", "--g", "1", "--j", "1"], "0.707106781187"),
+            (["concurrence", "--theta", "0", "--g", "1", "--j", "3"], "0"),
+        ],
+    )
+    def test_coupled_poles_have_values(self, argv, printed, capsys):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == printed + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The degenerate corner, and a norm that underflows at g = 1e-300.
+            ["phase", "--theta", "0", "--g", "0"],
+            ["phase", "--theta", "0", "--g", "1e-300", "--j", "1"],
+        ],
+    )
+    def test_uncoupled_pole_is_a_domain_error(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("domain error: ")
 
     def test_exit_code_usage(self, capsys):
         assert cli.main(["phase", "--theta", "1.0"]) == 1  # missing --g
@@ -281,6 +307,8 @@ def _cli_calls(draw):
 
 @given(_cli_calls())
 @example(["phase", "--theta", "1e-8", "--g", "1", "--j", "1"])
+@example(["phase", "--theta", "1e-200", "--g", "0", "--j", "1"])
+@example(["phase", "--theta", "1e-200", "--g", "0", "--j", "3"])
 @example(["phase", "--theta", "3.1415926342907925", "--g", "0", "--q", "0.1073", "--j", "4"])
 @example(["sweep", "--quantity", "uhlmann_closed", "--q", "0.1073", "--j", "1",
           "--theta-min", "3.1415926478294924", "--theta-max", "3.141592653589793",

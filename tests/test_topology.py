@@ -19,7 +19,6 @@ from spinphase import (
     phase_map,
     winding_number,
 )
-from spinphase.spin_model import G_LIMIT
 from spinphase.topology import ORIENTATION
 
 PI = math.pi
@@ -87,6 +86,13 @@ class TestWindingNumber:
         for q in (0.0, 0.05, Q_TRANSITION_MAX):
             assert winding_number(0.0, q, subsystem="B") == WindingResult(0, 1.0)
 
+    def test_subsystem_b_winds_at_any_coupling_below_the_transition(self):
+        # Only at g = 0 is B's reduced state diagonal for every theta; any
+        # coupling gives its curve a polar layer of width ~g that winds.
+        for j in (1, 2, 3, 4):
+            assert winding_number(1e-12, 0.0, "B", j).winding == ORIENTATION["B"][j - 1]
+            assert winding_number(0.0, 0.0, "B", j).winding == 0
+
     def test_subsystem_curves_are_mirrored(self):
         # The two subsystem curves traverse with opposite orientation, so the
         # windings are negatives of each other.
@@ -98,9 +104,9 @@ class TestWindingNumber:
     @given(_COUPLINGS, _STRENGTHS, _SUBSYSTEMS, _LEVELS)
     def test_winds_below_the_transition(self, g, q, subsystem, j):
         assume(not _near_transition(g, q, 1e-6))
-        assume(not (subsystem == "B" and g <= G_LIMIT))
         g_c = _transition(q)
-        expected = int(g_c is not None and g < g_c)
+        # Uncoupled, B's curve is a single point and does not wind.
+        expected = int(g_c is not None and g < g_c and (subsystem == "A" or g > 0.0))
         assert abs(winding_number(g, q, subsystem, j).winding) == expected
 
     @given(_COUPLINGS, _STRENGTHS, _SUBSYSTEMS, _LEVELS)
